@@ -194,7 +194,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         return 2
     report = cross_validate(args.max_n, threads=args.threads)
     if args.lemmas:
-        lemmas = lemma_suite(args.max_n, threads=args.threads)
+        lemmas = lemma_suite(args.max_n)
         report.lemma_failures.extend(lemmas.lemma_failures)
         report.elapsed += lemmas.elapsed
     if args.json:
@@ -225,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the oracle vertex guard",
     )
     common.add_argument(
-        "--threads", type=int, default=1, help="worker processes for sweeps"
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes for the recognizer-vs-oracle cross-check of enumerate",
     )
 
     parser = argparse.ArgumentParser(

@@ -19,13 +19,12 @@ import itertools
 from dataclasses import dataclass
 
 from .domination import SIZE_BOUNDED_VERTEX_GUARD, InstanceTooLargeError, dominated_edge_masks
-from .graph import Graph, is_tree
+from .graph import Graph, induced_delete, is_tree, mask_from, traverse
 from .recognizer import (
     LABEL_BACKBONE,
     LABEL_LEAF,
     LABEL_SUPPORT,
     UnitPartition,
-    recognize,
     validate_unit_partition,
 )
 
@@ -272,26 +271,11 @@ def unit_cut_decompose(
     e = (min(edge), max(edge))
     if e not in p.backbone_edges:
         raise ValueError(f"{edge} is not a backbone edge")
-    remaining = [f for f in t.edges if f != e]
-    cut = Graph.from_edges(t.n, remaining)
+    everything = (1 << t.n) - 1
     sides = []
-    for start in e:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for nxt in cut.adj[v]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        keep = sorted(seen)
-        remap = {old: new for new, old in enumerate(keep)}
-        sides.append(
-            Graph.from_edges(
-                len(keep),
-                [(remap[a], remap[b]) for a, b in remaining if a in remap and b in remap],
-            )
-        )
+    for start, other in (e, e[::-1]):
+        side, _ = traverse(t, start, set(range(t.n)) - {other})
+        sides.append(induced_delete(t, everything & ~mask_from(side))[0])
     return sides
 
 
@@ -309,8 +293,9 @@ def unit_cut_extend(
     for t, p, vertex, name in ((t1, p1, u, "u"), (t2, p2, v, "v")):
         if not (0 <= vertex < t.n) or p.label[vertex] != LABEL_BACKBONE:
             raise ValueError(f"endpoint {name}={vertex} is not a backbone vertex")
-        result = recognize(t)
-        if result.case != "T2":
+        # a valid partition with two or more units is the order >= 6 case;
+        # the one-unit P_3 reduces to P_2, which is case T1
+        if len(p.units) < 2:
             raise ValueError("both inputs must be recognized order >= 6 trees")
     offset = t1.n
     edges = list(t1.edges)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graph import Graph, is_tree
+from .graph import Graph, is_tree, traverse
 
 MAX_ENUMERATION_ORDER = 18
 
@@ -72,19 +72,7 @@ def centroids(g: Graph) -> list[int]:
     if n == 1:
         return [0]
     size = [1] * n
-    order: list[int] = []
-    parent = [-1] * n
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in g.adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                stack.append(u)
+    order, parent = traverse(g, 0)
     for v in reversed(order):
         if parent[v] >= 0:
             size[parent[v]] += size[v]
@@ -105,19 +93,21 @@ def centroids(g: Graph) -> list[int]:
 
 def canonical_rooted_sequence(g: Graph, root: int) -> tuple[int, ...]:
     """Lexicographically largest preorder level sequence of (g, root):
-    child subtrees are emitted in decreasing canonical order."""
+    child subtrees are emitted in decreasing canonical order.
 
-    def sub(v: int, parent: int, depth: int) -> tuple[int, ...]:
-        kids = sorted(
-            (sub(u, v, depth + 1) for u in g.adj[v] if u != parent),
-            reverse=True,
-        )
-        out = (depth,)
-        for k in kids:
+    Built bottom-up, children before parents, so deep trees need no
+    recursion."""
+    order, parent = traverse(g, root)
+    depth = [1] * g.n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    kids: dict[int, list[tuple[int, ...]]] = {}
+    for v in reversed(order):
+        out = (depth[v],)
+        for k in sorted(kids.pop(v, ()), reverse=True):
             out += k
-        return out
-
-    return sub(root, -1, 1)
+        kids.setdefault(parent[v], []).append(out)
+    return out  # root comes last in reversed(order)
 
 
 def canonical_form(g: Graph) -> tuple[int, ...]:

@@ -154,29 +154,43 @@ def serialize_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def traverse(g: Graph, root: int, allowed: set[int] | None = None) -> tuple[list[int], list[int]]:
+    """Breadth-first search of g from root.
+
+    Returns (order, parent).  order lists every vertex reachable from root,
+    moving only through members of ``allowed`` when it is given (root itself
+    is always included); each vertex appears after its parent, so a forward
+    pass over order sees parents before children and a reversed pass sees
+    children before parents.  parent[v] is the vertex that reached v, and -1
+    for root and for every vertex not reached.
+    """
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    seen[root] = True
+    order = [root]
+    for v in order:  # order doubles as the queue: appends extend the loop
+        for u in g.adj[v]:
+            if not seen[u] and (allowed is None or u in allowed):
+                seen[u] = True
+                parent[u] = v
+                order.append(u)
+    return order, parent
+
+
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, ordered by smallest member."""
     unseen = set(range(g.n))
     comps: list[int] = []
     for start in range(g.n):
-        if start not in unseen:
-            continue
-        stack = [start]
-        unseen.discard(start)
-        mask = 0
-        while stack:
-            v = stack.pop()
-            mask |= 1 << v
-            for u in g.adj[v]:
-                if u in unseen:
-                    unseen.discard(u)
-                    stack.append(u)
-        comps.append(mask)
+        if start in unseen:
+            order, _ = traverse(g, start)
+            unseen.difference_update(order)
+            comps.append(mask_from(order))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return g.n > 0 and len(traverse(g, 0)[0]) == g.n
 
 
 def is_tree(g: Graph) -> bool:

@@ -137,7 +137,6 @@ def random_leaf_duplicated_tree(rng: random.Random, max_order: int) -> Graph:
 
 def lemma_suite(
     max_n: int,
-    threads: int = 1,
     transport_samples: int = 200,
     seed: int = 20240901,
 ) -> ValidationReport:

@@ -1,4 +1,4 @@
-"""Linear-time recognition of well-ve-dominated trees.
+"""Recognition of well-ve-dominated trees.
 
 A reduced tree of order >= 6 is well-ve-dominated exactly when its vertices
 split into equal thirds: leaves L, their degree-2 supports S, and a backbone
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domination import dominated_edge_masks
-from .graph import Graph, bit_list, good_pendant_edges, is_tree, iter_bits, mask_from
+from .graph import Graph, bit_list, good_pendant_edges, is_tree, iter_bits, mask_from, traverse
 from .reduction import is_reduced, reduce_graph
 
 LABEL_LEAF = "L"
@@ -95,7 +95,8 @@ def find_forbidden_configuration(t: Graph) -> tuple[str, tuple[int, ...]] | None
 
     Configurations are searched in that order; ties within one break by
     vertex order.  Paths in a tree are always induced, so leaf pairs at the
-    right distance are the only candidates.
+    right distance are the only candidates; no pattern spans more than seven
+    vertices, so each leaf-to-leaf path is followed at most that far.
     """
     if not is_tree(t):
         raise ValueError("forbidden-configuration search requires a tree")
@@ -103,11 +104,16 @@ def find_forbidden_configuration(t: Graph) -> tuple[str, tuple[int, ...]] | None
     leaves = [v for v in range(t.n) if deg[v] == 1]
     hits: list[tuple[int, tuple[int, ...]]] = []
     for a in leaves:
-        paths = _paths_from(t, a)
+        _, parent = traverse(t, a)
         for b in leaves:
             if b == a:
                 continue
-            p = paths[b]
+            p = [b]
+            while p[-1] != a and len(p) < 7:
+                p.append(parent[p[-1]])
+            if p[-1] != a:
+                continue
+            p.reverse()
             k = len(p)
             if k == 4 and deg[p[1]] == 2:
                 hits.append((0, tuple(p)))
@@ -119,28 +125,6 @@ def find_forbidden_configuration(t: Graph) -> tuple[str, tuple[int, ...]] | None
         return None
     rank, path = min(hits)
     return ("i", "ii", "iii")[rank], path
-
-
-def _paths_from(t: Graph, root: int) -> list[list[int]]:
-    """Unique tree path from root to every vertex."""
-    parent = [-1] * t.n
-    seen = [False] * t.n
-    seen[root] = True
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in t.adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                stack.append(u)
-    paths: list[list[int]] = []
-    for v in range(t.n):
-        p = [v]
-        while p[-1] != root:
-            p.append(parent[p[-1]])
-        paths.append(p[::-1])
-    return paths
 
 
 def unit_partition(t: Graph) -> UnitPartition | Refutation:
@@ -200,16 +184,8 @@ def unit_partition(t: Graph) -> UnitPartition | Refutation:
 def _connected_within(t: Graph, vertices: set[int]) -> bool:
     if not vertices:
         return False
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in t.adj[v]:
-            if u in vertices and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen == vertices
+    order, _ = traverse(t, next(iter(vertices)), vertices)
+    return len(order) == len(vertices)
 
 
 def validate_unit_partition(t: Graph, p: UnitPartition) -> None:
@@ -245,16 +221,11 @@ def build_certificate(t: Graph, p: UnitPartition, invert: bool = False) -> int:
     of every X unit and the leaf of every other unit.  Either color class
     gives a valid certificate.
     """
-    backbone = sorted(u[2] for u in p.units)
-    color = {backbone[0]: 0}
-    stack = [backbone[0]]
-    allowed = set(backbone)
-    while stack:
-        v = stack.pop()
-        for u in t.adj[v]:
-            if u in allowed and u not in color:
-                color[u] = color[v] ^ 1
-                stack.append(u)
+    backbone = {u[2] for u in p.units}
+    order, parent = traverse(t, min(backbone), backbone)
+    color = {order[0]: 0}
+    for v in order[1:]:
+        color[v] = color[parent[v]] ^ 1
     pick = 1 if invert else 0
     cert = 0
     for leaf, s, w in p.units:

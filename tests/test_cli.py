@@ -177,6 +177,16 @@ class TestEnumerate:
         assert data["mismatches"] == []
         assert data["lemma_failures"] == []
 
+    def test_threads_do_not_change_the_lemma_report(self, capsys):
+        reports = []
+        for threads in ("1", "2"):
+            argv = ["enumerate", "--max-n", "6", "--lemmas", "--json", "--threads", threads]
+            assert main(argv) == 0
+            data = json.loads(capsys.readouterr().out)
+            del data["elapsed_seconds"]
+            reports.append(data)
+        assert reports[0] == reports[1]
+
     def test_rejects_oversized_sweep(self, capsys):
         assert main(["enumerate", "--max-n", "16"]) == 2
 

@@ -26,7 +26,7 @@ from vedom.domination import (
 )
 from vedom.freetrees import trees_isomorphic
 from vedom.graph import Graph, bit_list, mask_from
-from vedom.recognizer import recognize, unit_partition
+from vedom.recognizer import UnitPartition, recognize, unit_partition, validate_unit_partition
 
 FIG_INSTANCE = CnfInstance(4, ((1, 2, -3), (-1, 3, 4), (-2, -3, -4)))
 UNSAT_ALL_PATTERNS = CnfInstance(
@@ -277,6 +277,15 @@ class TestUnitCutExtend:
         p = unit_partition(path_graph(6))
         with pytest.raises(ValueError, match="backbone vertex"):
             unit_cut_extend(path_graph(6), p, 1, path_graph(6), p, 2)
+
+    def test_rejects_single_unit_path(self):
+        p3 = UnitPartition(units=((0, 1, 2),), label=("L", "S", "W"), backbone_edges=())
+        validate_unit_partition(path_graph(3), p3)
+        p6 = unit_partition(path_graph(6))
+        with pytest.raises(ValueError, match="both inputs must be recognized order >= 6 trees"):
+            unit_cut_extend(path_graph(3), p3, 2, path_graph(6), p6, 2)
+        with pytest.raises(ValueError, match="both inputs must be recognized order >= 6 trees"):
+            unit_cut_extend(path_graph(6), p6, 2, path_graph(3), p3, 2)
 
     def test_roundtrip_with_decompose(self):
         t1, p1 = expand_backbone(path_graph(2))

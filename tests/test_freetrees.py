@@ -11,6 +11,7 @@ from vedom.freetrees import (
     rooted_level_sequences,
     trees_isomorphic,
 )
+from vedom.constructions import path_graph
 from vedom.graph import Graph, is_tree, relabeled
 
 ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
@@ -90,6 +91,28 @@ class TestIsomorphism:
 
     def test_order_mismatch(self):
         assert not trees_isomorphic(path(4), path(5))
+
+
+class TestDeepTrees:
+    """Trees far deeper than the default recursion limit."""
+
+    def test_long_path_is_isomorphic_to_itself(self):
+        assert trees_isomorphic(path_graph(3000), path_graph(3000))
+
+    def test_long_path_rooted_at_an_end(self):
+        assert canonical_rooted_sequence(path_graph(3000), 0) == tuple(range(1, 3001))
+
+    def test_long_path_is_not_a_spider(self):
+        legs = (1000, 1000, 999)
+        edges = []
+        n = 1
+        for length in legs:
+            edges.append((0, n))
+            edges += [(v, v + 1) for v in range(n, n + length - 1)]
+            n += length
+        spider = Graph.from_edges(n, edges)
+        assert spider.n == 3000 and is_tree(spider)
+        assert not trees_isomorphic(path_graph(3000), spider)
 
 
 def test_labeled_tree_counts():

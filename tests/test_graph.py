@@ -13,6 +13,7 @@ from vedom.graph import (
     parse_edge_list,
     relabeled,
     serialize_edge_list,
+    traverse,
 )
 
 from tests.strategies import graphs
@@ -153,6 +154,33 @@ class TestComponents:
 
     def test_empty_graph(self):
         assert connected_components(Graph.from_edges(0, [])) == []
+
+
+class TestTraverse:
+    def test_parents_before_children(self):
+        g = Graph.from_edges(6, [(0, 3), (3, 1), (1, 4), (4, 0), (2, 5)])
+        order, parent = traverse(g, 3)
+        assert sorted(order) == [0, 1, 3, 4]
+        assert order[0] == 3 and parent[3] == -1
+        for i, v in enumerate(order[1:], start=1):
+            assert g.has_edge(parent[v], v)
+            assert order.index(parent[v]) < i
+        assert parent[2] == parent[5] == -1
+
+    def test_allowed_restricts_the_search(self):
+        order, parent = traverse(path(6), 2, allowed={1, 3, 4})
+        assert sorted(order) == [1, 2, 3, 4]
+        assert parent == [-1, 2, -1, 2, 3, -1]
+
+    def test_root_outside_allowed_is_still_listed(self):
+        assert traverse(path(3), 0, allowed=set()) == ([0], [-1, -1, -1])
+
+    @given(graphs(min_n=1, max_n=8))
+    def test_reaches_exactly_the_root_component(self, g):
+        order, parent = traverse(g, 0)
+        assert mask_from(order) == connected_components(g)[0]
+        assert len(set(order)) == len(order)
+        assert all(parent[v] in order[:i] for i, v in enumerate(order) if i)
 
 
 class TestGoodPendantEdges:
