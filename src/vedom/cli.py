@@ -192,11 +192,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    report = cross_validate(args.max_n, threads=args.threads)
-    if args.lemmas:
-        lemmas = lemma_suite(args.max_n)
-        report.lemma_failures.extend(lemmas.lemma_failures)
-        report.elapsed += lemmas.elapsed
+    sweep = lemma_suite if args.lemmas else cross_validate
+    report = sweep(args.max_n, threads=args.threads)
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -228,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for the recognizer-vs-oracle cross-check of enumerate",
+        help="worker processes for enumerate, lemma suite included",
     )
 
     parser = argparse.ArgumentParser(

@@ -217,16 +217,6 @@ def sat_decide_via_graph(f: CnfInstance) -> bool:
     return search(0, 0)
 
 
-def sat_decide_by_truth_table(f: CnfInstance) -> bool:
-    """Exhaustive assignment sweep; the independent check for the gadget route."""
-    n = f.variable_count
-    for bits in range(1 << n):
-        assignment = {i + 1: bool((bits >> i) & 1) for i in range(n)}
-        if f.evaluate(assignment):
-            return True
-    return False
-
-
 def expand_backbone(r: Graph) -> tuple[Graph, UnitPartition]:
     """Attach a pendant path of length two to every vertex of the tree r.
 

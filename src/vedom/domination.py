@@ -109,25 +109,6 @@ def is_minimal_ve_dominating(g: Graph, s: int) -> bool:
     return _all_members_have_private(dominated_edge_masks(g), s)
 
 
-def is_minimal_by_removal(g: Graph, s: int) -> bool:
-    """Definitional route: s dominates and no single-vertex removal does.
-
-    Kept alongside the private-edge test as the independent cross-check;
-    for a dominating s the two must agree on every input.
-    """
-    if not is_ve_dominating(g, s):
-        return False
-    full = (1 << len(g.edges)) - 1
-    masks = dominated_edge_masks(g)
-    for v in iter_bits(s):
-        covered = 0
-        for u in iter_bits(s & ~(1 << v)):
-            covered |= masks[u]
-        if covered == full:
-            return False
-    return True
-
-
 def _check_guard(g: Graph, size_bound: int | None, guard: int) -> None:
     if size_bound is None:
         if g.n > guard:
@@ -159,8 +140,10 @@ def enumerate_minimal_ve_dominating_sets(
     The search branches on the lowest-index uncovered edge: for each vertex
     that dominates it we either include that vertex or exclude it from the
     rest of the branch, so every cover is generated along exactly one path.
-    Generated covers are then filtered down to the inclusion-minimal ones by
-    the private-edge criterion.
+    Along a branch each member's private edges (dominated by no other
+    member) are tracked; once a member has none the branch is abandoned, as
+    no superset gives them back and every subset of a minimal set keeps
+    them.  So every cover the search reaches is minimal.
     """
     _check_guard(g, size_bound, guard)
     m = len(g.edges)
@@ -174,52 +157,28 @@ def enumerate_minimal_ve_dominating_sets(
             edge_dominators[e].append(v)
     bound = g.n if size_bound is None else min(size_bound, g.n)
 
-    covers: list[int] = []
+    minimal: list[int] = []
 
-    def search(chosen: int, covered: int, banned: int, count: int) -> None:
+    def search(chosen: int, covered: int, banned: int, private: tuple[int, ...]) -> None:
         if covered == full:
-            covers.append(chosen)
+            minimal.append(chosen)
             return
-        if count == bound:
+        if len(private) == bound:
             return
         rem = ~covered & full
         e = (rem & -rem).bit_length() - 1
         b = banned
         for v in edge_dominators[e]:
             if not (b >> v) & 1:
-                search(chosen | (1 << v), covered | masks[v], b, count + 1)
+                mask = masks[v]
+                kept = tuple(p & ~mask for p in private)
+                if all(kept):
+                    search(chosen | (1 << v), covered | mask, b, kept + (mask & ~covered,))
                 b |= 1 << v
 
-    search(0, 0, 0, 0)
-    minimal = [s for s in covers if _all_members_have_private(masks, s)]
+    search(0, 0, 0, ())
     minimal.sort(key=lambda s: (s.bit_count(), bit_list(s)))
     return minimal
-
-
-def minimal_sets_by_exhaustion(g: Graph) -> list[int]:
-    """Brute-force sweep over all 2^n subsets; the independent test oracle.
-
-    Deliberately definitional (coverage table over every subset, minimality
-    by single-vertex removal), only suitable for very small graphs.
-    """
-    if g.n > 16:
-        raise InstanceTooLargeError("exhaustive sweep is capped at 16 vertices")
-    m = len(g.edges)
-    full = (1 << m) - 1
-    masks = dominated_edge_masks(g)
-    size = 1 << g.n
-    covered = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        covered[s] = covered[s ^ low] | masks[low.bit_length() - 1]
-    out = []
-    for s in range(size):
-        if covered[s] != full:
-            continue
-        if all(covered[s ^ (1 << v)] != full for v in iter_bits(s)):
-            out.append(s)
-    out.sort(key=lambda s: (s.bit_count(), bit_list(s)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from .graph import Graph, is_tree, traverse
 MAX_ENUMERATION_ORDER = 18
 
 # number of free trees on 1..18 vertices; used as a cross-check, with the
-# small orders independently reproducible from the labeled-tree oracle
+# small orders independently reproducible from labeled trees (the tests
+# enumerate them by Pruefer decoding)
 FREE_TREE_COUNTS = (
     1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
     19320, 48629, 123867,
@@ -131,29 +132,6 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
         g = level_sequence_to_graph(seq)
         if canonical_form(g) == seq:
             yield g
-
-
-def labeled_trees(n: int) -> Iterator[Graph]:
-    """All n^(n-2) labeled trees via Pruefer decoding; the slow oracle used
-    to validate the canonical enumeration on small orders."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n == 1:
-        yield Graph.from_edges(1, [])
-        return
-    if n == 2:
-        yield Graph.from_edges(2, [(0, 1)])
-        return
-    seq = [0] * (n - 2)
-    while True:
-        yield pruefer_to_tree(n, seq)
-        i = n - 3
-        while i >= 0 and seq[i] == n - 1:
-            seq[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        seq[i] += 1
 
 
 def pruefer_to_tree(n: int, seq: list[int]) -> Graph:

@@ -10,10 +10,13 @@ are expected to be empty on a correct build.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 from .constructions import unit_cut_decompose
 from .domination import oracle_report
@@ -51,39 +54,70 @@ class ValidationReport:
         }
 
 
-def _verdict_pair(args: tuple[int, tuple[tuple[int, int], ...]]) -> tuple[bool, bool]:
-    n, edges = args
-    g = Graph.from_edges(n, edges)
-    return recognize(g).verdict, oracle_report(g).is_well_ve_dominated
+def _check_tree(job: tuple[Graph, bool]) -> tuple[bool, bool, list[tuple[str, str]]]:
+    """Recognizer verdict, oracle verdict and, when lemmas is set, the lemma
+    failures of one tree; recognize and the oracle run once each."""
+    t, lemmas = job
+    result = recognize(t)
+    rep = oracle_report(t)
+    is_wvd = rep.is_well_ve_dominated
+    failures: list[tuple[str, str]] = []
+    if not lemmas:
+        return result.verdict, is_wvd, failures
+    fail = failures.append
+    if is_wvd:
+        if find_forbidden_configuration(t) is not None:
+            fail(("forbidden-config-soundness", _graph_tag(t)))
+        if t.n <= ORACLE_HEAVY_MAX and rep.i_ve != rep.beta_ve:
+            fail(("wvd-implies-wvc", _graph_tag(t)))
+        for u, v in _qualifying_cut_edges(t):
+            remainder, _ = induced_delete(t, mask_from((u, v)))
+            if not _all_components_wvd(remainder):
+                fail(("cut-edge-components", f"{_graph_tag(t)} edge ({u},{v})"))
+        for c in _qualifying_cut_vertices(t):
+            remainder, _ = induced_delete(t, 1 << c)
+            if not _all_components_wvd(remainder):
+                fail(("cut-vertex-components", f"{_graph_tag(t)} vertex {c}"))
+    if result.case == "T2":
+        _check_unit_cut_additivity(result.reduced_tree, result, fail)
+    return result.verdict, is_wvd, failures
+
+
+def _check_args(max_n: int, threads: int) -> None:
+    if not 1 <= max_n <= ORACLE_SWEEP_MAX:
+        raise ValueError(f"max_n must be in 1..{ORACLE_SWEEP_MAX}")
+    # a process pool forks all its workers at the first submit
+    cpus = os.cpu_count() or 1
+    if not 1 <= threads <= cpus:
+        raise ValueError(f"threads must be in 1..{cpus}")
+
+
+def _sweep(report: ValidationReport, threads: int, lemmas: bool) -> ValidationReport:
+    """Check every free tree up to report.max_order once, in one process pool
+    when threads > 1, and tally verdicts, mismatches and lemma failures."""
+    started = time.perf_counter()
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        run = partial(pool.map, chunksize=64) if pool else map
+        for n in range(1, report.max_order + 1):
+            report.trees_checked[n] = report.wvd_tree_census[n] = 0
+            jobs = ((t, lemmas) for t in enumerate_free_trees(n))
+            for index, (recognized, oracle_says, failures) in enumerate(run(_check_tree, jobs)):
+                report.trees_checked[n] += 1
+                report.wvd_tree_census[n] += oracle_says
+                if recognized != oracle_says:
+                    report.recognizer_oracle_mismatches.append(
+                        f"order {n} tree #{index}: recognizer={recognized} oracle={oracle_says}"
+                    )
+                report.lemma_failures.extend(failures)
+    report.elapsed += time.perf_counter() - started
+    return report
 
 
 def cross_validate(max_n: int, threads: int = 1) -> ValidationReport:
-    """Recognizer verdict vs oracle verdict on every tree up to max_n."""
-    if not 1 <= max_n <= ORACLE_SWEEP_MAX:
-        raise ValueError(f"max_n must be in 1..{ORACLE_SWEEP_MAX}")
-    started = time.perf_counter()
-    report = ValidationReport(max_order=max_n)
-    for n in range(1, max_n + 1):
-        count = 0
-        wvd = 0
-        jobs = ((n, t.edges) for t in enumerate_free_trees(n))
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(_verdict_pair, jobs, chunksize=64))
-        else:
-            outcomes = [_verdict_pair(j) for j in jobs]
-        for index, (recognized, oracle_says) in enumerate(outcomes):
-            count += 1
-            if oracle_says:
-                wvd += 1
-            if recognized != oracle_says:
-                report.recognizer_oracle_mismatches.append(
-                    f"order {n} tree #{index}: recognizer={recognized} oracle={oracle_says}"
-                )
-        report.trees_checked[n] = count
-        report.wvd_tree_census[n] = wvd
-    report.elapsed = time.perf_counter() - started
-    return report
+    """Recognizer verdict vs oracle verdict on every tree up to max_n, over
+    threads worker processes (1..os.cpu_count(); 1 runs in-process)."""
+    _check_args(max_n, threads)
+    return _sweep(ValidationReport(max_order=max_n), threads, lemmas=False)
 
 
 def _graph_tag(g: Graph) -> str:
@@ -139,6 +173,7 @@ def lemma_suite(
     max_n: int,
     transport_samples: int = 200,
     seed: int = 20240901,
+    threads: int = 1,
 ) -> ValidationReport:
     """Oracle-backed re-checks of the structural facts.
 
@@ -150,55 +185,21 @@ def lemma_suite(
     (e) well-ve-dominated implies i_ve = beta_ve;
     (f) gamma_ve is additive across every unit-cut edge of recognized trees.
 
-    Oracle-heavy checks (a, e) cap at ORACLE_HEAVY_MAX vertices.
+    Oracle-heavy checks (a, e) cap at ORACLE_HEAVY_MAX vertices.  (a) runs
+    in-process; (b)-(f) run on the cross_validate sweep, whose counts, census
+    and mismatches the report carries too.
     """
-    if not 1 <= max_n <= ORACLE_SWEEP_MAX:
-        raise ValueError(f"max_n must be in 1..{ORACLE_SWEEP_MAX}")
+    _check_args(max_n, threads)
     started = time.perf_counter()
     report = ValidationReport(max_order=max_n)
-    fail = report.lemma_failures.append
-
     rng = random.Random(seed)
     for _ in range(transport_samples):
         g = random_leaf_duplicated_tree(rng, min(max_n, ORACLE_HEAVY_MAX))
         reduced = reduce_graph(g).reduced_graph
         if oracle_report(g).is_well_ve_dominated != oracle_report(reduced).is_well_ve_dominated:
-            fail(("reduction-transport", _graph_tag(g)))
-
-    for n in range(1, max_n + 1):
-        count = 0
-        wvd = 0
-        for t in enumerate_free_trees(n):
-            count += 1
-            rep = oracle_report(t)
-            is_wvd = rep.is_well_ve_dominated
-            if is_wvd:
-                wvd += 1
-
-            witness = find_forbidden_configuration(t)
-            if witness is not None and is_wvd:
-                fail(("forbidden-config-soundness", _graph_tag(t)))
-
-            if is_wvd and n <= ORACLE_HEAVY_MAX and rep.i_ve != rep.beta_ve:
-                fail(("wvd-implies-wvc", _graph_tag(t)))
-
-            if is_wvd:
-                for u, v in _qualifying_cut_edges(t):
-                    remainder, _ = induced_delete(t, mask_from((u, v)))
-                    if not _all_components_wvd(remainder):
-                        fail(("cut-edge-components", f"{_graph_tag(t)} edge ({u},{v})"))
-                for c in _qualifying_cut_vertices(t):
-                    remainder, _ = induced_delete(t, 1 << c)
-                    if not _all_components_wvd(remainder):
-                        fail(("cut-vertex-components", f"{_graph_tag(t)} vertex {c}"))
-
-            result = recognize(t)
-            if result.case == "T2":
-                _check_unit_cut_additivity(result.reduced_tree, result, fail)
-        report.trees_checked[n] = count
-        report.wvd_tree_census[n] = wvd
+            report.lemma_failures.append(("reduction-transport", _graph_tag(g)))
     report.elapsed = time.perf_counter() - started
-    return report
+    return _sweep(report, threads, lemmas=True)
 
 
 def _all_components_wvd(g: Graph) -> bool:

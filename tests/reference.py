@@ -1,16 +1,145 @@
-"""Earlier, independent implementations kept as references for the tests.
+"""Slow, independent implementations kept as references for the tests.
 
-Each function here is the library's previous hand-rolled search, before the
-library moved to the shared ``vedom.graph.traverse`` helper.  They are
-slower (the forbidden-path search builds every leaf's path to every vertex,
-the canonical sequence recurses once per tree level) but simple, so the
-differential tests compare the library against them.
+Some are the library's earlier searches: the hand-rolled graph searches from
+before the shared ``vedom.graph.traverse`` helper (the forbidden-path search
+builds every leaf's path to every vertex, the canonical sequence recurses
+once per tree level), and the oracle search that generated every cover
+before filtering for minimality.  The others are definitional oracles: the
+2^n subset sweep, minimality by single-vertex removal, the truth-table
+satisfiability check and the labeled-tree enumeration.  They are slow but
+simple, so the tests compare the library against them.
 """
 
 from __future__ import annotations
 
-from vedom.graph import Graph, is_tree
+from typing import Iterator
+
+from vedom.constructions import CnfInstance
+from vedom.domination import (
+    InstanceTooLargeError,
+    _all_members_have_private,
+    dominated_edge_masks,
+    is_ve_dominating,
+)
+from vedom.freetrees import pruefer_to_tree
+from vedom.graph import Graph, bit_list, is_tree, iter_bits
 from vedom.recognizer import UnitPartition
+
+
+def minimal_sets_by_covers(g: Graph, size_bound: int | None = None) -> list[int]:
+    """The oracle's earlier search: generate every ve-dominating cover by
+    branching on the lowest-index uncovered edge, then keep the covers in
+    which every member has a private edge.  Same output and order as
+    ``enumerate_minimal_ve_dominating_sets``."""
+    m = len(g.edges)
+    full = (1 << m) - 1
+    if full == 0:
+        return [0]
+    masks = dominated_edge_masks(g)
+    edge_dominators: list[list[int]] = [[] for _ in range(m)]
+    for v in range(g.n):
+        for e in iter_bits(masks[v]):
+            edge_dominators[e].append(v)
+    bound = g.n if size_bound is None else min(size_bound, g.n)
+
+    covers: list[int] = []
+
+    def search(chosen: int, covered: int, banned: int, count: int) -> None:
+        if covered == full:
+            covers.append(chosen)
+            return
+        if count == bound:
+            return
+        rem = ~covered & full
+        e = (rem & -rem).bit_length() - 1
+        b = banned
+        for v in edge_dominators[e]:
+            if not (b >> v) & 1:
+                search(chosen | (1 << v), covered | masks[v], b, count + 1)
+                b |= 1 << v
+
+    search(0, 0, 0, 0)
+    minimal = [s for s in covers if _all_members_have_private(masks, s)]
+    minimal.sort(key=lambda s: (s.bit_count(), bit_list(s)))
+    return minimal
+
+
+def minimal_sets_by_exhaustion(g: Graph) -> list[int]:
+    """Brute-force sweep over all 2^n subsets; the independent test oracle.
+
+    Deliberately definitional (coverage table over every subset, minimality
+    by single-vertex removal), only suitable for very small graphs.
+    """
+    if g.n > 16:
+        raise InstanceTooLargeError("exhaustive sweep is capped at 16 vertices")
+    m = len(g.edges)
+    full = (1 << m) - 1
+    masks = dominated_edge_masks(g)
+    size = 1 << g.n
+    covered = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        covered[s] = covered[s ^ low] | masks[low.bit_length() - 1]
+    out = []
+    for s in range(size):
+        if covered[s] != full:
+            continue
+        if all(covered[s ^ (1 << v)] != full for v in iter_bits(s)):
+            out.append(s)
+    out.sort(key=lambda s: (s.bit_count(), bit_list(s)))
+    return out
+
+
+def is_minimal_by_removal(g: Graph, s: int) -> bool:
+    """Definitional route: s dominates and no single-vertex removal does.
+
+    The independent cross-check of the library's private-edge test; for a
+    dominating s the two must agree on every input.
+    """
+    if not is_ve_dominating(g, s):
+        return False
+    full = (1 << len(g.edges)) - 1
+    masks = dominated_edge_masks(g)
+    for v in iter_bits(s):
+        covered = 0
+        for u in iter_bits(s & ~(1 << v)):
+            covered |= masks[u]
+        if covered == full:
+            return False
+    return True
+
+
+def sat_decide_by_truth_table(f: CnfInstance) -> bool:
+    """Exhaustive assignment sweep; the independent check for the gadget route."""
+    n = f.variable_count
+    for bits in range(1 << n):
+        assignment = {i + 1: bool((bits >> i) & 1) for i in range(n)}
+        if f.evaluate(assignment):
+            return True
+    return False
+
+
+def labeled_trees(n: int) -> Iterator[Graph]:
+    """All n^(n-2) labeled trees via Pruefer decoding; the slow oracle used
+    to validate the canonical enumeration on small orders."""
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    if n == 1:
+        yield Graph.from_edges(1, [])
+        return
+    if n == 2:
+        yield Graph.from_edges(2, [(0, 1)])
+        return
+    seq = [0] * (n - 2)
+    while True:
+        yield pruefer_to_tree(n, seq)
+        i = n - 3
+        while i >= 0 and seq[i] == n - 1:
+            seq[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        seq[i] += 1
 
 
 def find_forbidden_configuration(t: Graph) -> tuple[str, tuple[int, ...]] | None:

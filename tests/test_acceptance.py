@@ -15,7 +15,6 @@ from vedom.constructions import (
     CnfInstance,
     expand_backbone,
     path_graph,
-    sat_decide_by_truth_table,
     sat_decide_via_graph,
     sat_to_graph,
     unit_cut_decompose,
@@ -31,6 +30,8 @@ from vedom.freetrees import enumerate_free_trees
 from vedom.graph import bit_list, mask_from
 from vedom.harness import lemma_suite
 from vedom.recognizer import recognize, verify_certificate
+
+from tests.reference import sat_decide_by_truth_table
 
 SWEEP_MAX = 15
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -189,6 +190,13 @@ class TestEnumerate:
 
     def test_rejects_oversized_sweep(self, capsys):
         assert main(["enumerate", "--max-n", "16"]) == 2
+
+    @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
+    def test_rejects_bad_thread_count(self, threads, capsys):
+        for lemmas in ([], ["--lemmas"]):
+            argv = ["enumerate", "--max-n", "1", "--threads", str(threads), *lemmas]
+            assert main(argv) == 2
+            assert "threads" in capsys.readouterr().err
 
 
 class TestErrorPaths:

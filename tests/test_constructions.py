@@ -11,7 +11,6 @@ from vedom.constructions import (
     is_wvd_path,
     parse_dimacs_cnf,
     path_graph,
-    sat_decide_by_truth_table,
     sat_decide_via_graph,
     sat_to_graph,
     unit_cut_decompose,
@@ -27,6 +26,8 @@ from vedom.domination import (
 from vedom.freetrees import trees_isomorphic
 from vedom.graph import Graph, bit_list, mask_from
 from vedom.recognizer import UnitPartition, recognize, unit_partition, validate_unit_partition
+
+from tests.reference import sat_decide_by_truth_table
 
 FIG_INSTANCE = CnfInstance(4, ((1, 2, -3), (-1, 3, 4), (-2, -3, -4)))
 UNSAT_ALL_PATTERNS = CnfInstance(

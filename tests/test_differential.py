@@ -1,13 +1,18 @@
 """The library's searches against the earlier implementations in
 tests/reference.py: same refutation witness, same canonical sequence and
-same certificate, on every small free tree and on seeded random trees."""
+same certificate, on every small free tree and on seeded random trees; and
+the same minimal ve-dominating sets, in the same order, as the oracle's
+earlier generate-then-filter search, on graphs past the 16-vertex cap of the
+exhaustive sweep."""
 
+import itertools
 import math
 import random
 
-from vedom.constructions import expand_backbone
+from vedom.constructions import CnfInstance, expand_backbone, path_graph, sat_to_graph
+from vedom.domination import enumerate_minimal_ve_dominating_sets
 from vedom.freetrees import canonical_form, enumerate_free_trees, pruefer_to_tree
-from vedom.graph import relabeled
+from vedom.graph import Graph, relabeled
 from vedom.recognizer import find_forbidden_configuration, recognize
 
 from tests import reference
@@ -61,3 +66,56 @@ def test_seeded_random_trees_match_reference():
     accepted = sum(_assert_same_as_reference(t) for t in trees)
     assert accepted >= len(trees) // 2
     assert max(t.n for t in trees) > 300
+
+
+def _spider(rng: random.Random, n: int) -> Graph:
+    """Three to five legs of random lengths joined at vertex 0."""
+    legs = [1] * rng.randint(3, 5)
+    for _ in range(n - 1 - len(legs)):
+        legs[rng.randrange(len(legs))] += 1
+    edges = []
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, len(edges) + 1))
+            prev = len(edges)
+    return Graph.from_edges(n, edges)
+
+
+def _caterpillar(rng: random.Random, n: int) -> Graph:
+    spine = rng.randint(n // 3, n // 2)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(rng.randrange(spine), v) for v in range(spine, n)]
+    return Graph.from_edges(n, edges)
+
+
+def _sparse_graph(rng: random.Random, n: int, extra: int) -> Graph:
+    """A random tree plus extra random edges, so cycles are covered too."""
+    edges = set(_random_tree(rng, n, n).edges)
+    while len(edges) < n - 1 + extra:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def test_oracle_matches_cover_generation_past_exhaustion():
+    rng = random.Random(20251019)
+    graphs = [path_graph(n) for n in (17, 18, 19)]
+    for n in range(17, 21):
+        graphs += [_spider(rng, n), _caterpillar(rng, n), _sparse_graph(rng, n, rng.randint(2, 4))]
+    for g in graphs:
+        assert enumerate_minimal_ve_dominating_sets(g) == reference.minimal_sets_by_covers(g)
+
+
+def test_bounded_oracle_matches_cover_generation_on_sat_gadgets():
+    formulas = [
+        # every sign pattern over three variables: unsatisfiable
+        CnfInstance(3, tuple(itertools.product((1, -1), (2, -2), (3, -3)))),
+        CnfInstance(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3), (-1, 2, -3), (1, 2, -3))),
+        CnfInstance(4, ((1, 2, -3), (-1, 3, 4), (-2, -3, -4))),
+        CnfInstance(4, ((1, -2, 3), (-1, 2, 4), (2, -3, -4), (-1, -2, -4), (1, 3, 4), (-2, 3, -4))),
+    ]
+    for f in formulas:
+        g = sat_to_graph(f).graph
+        for bound in (2 * f.variable_count, 2 * f.variable_count + 1):
+            expected = reference.minimal_sets_by_covers(g, bound)
+            assert enumerate_minimal_ve_dominating_sets(g, size_bound=bound) == expected

@@ -10,10 +10,8 @@ from vedom.domination import (
     domination_chain_check,
     dominated_edge_masks,
     enumerate_minimal_ve_dominating_sets,
-    is_minimal_by_removal,
     is_minimal_ve_dominating,
     is_ve_dominating,
-    minimal_sets_by_exhaustion,
     oracle_report,
     private_edges,
     ve_dominated_edges,
@@ -21,6 +19,7 @@ from vedom.domination import (
 from vedom.freetrees import enumerate_free_trees
 from vedom.graph import Graph, bit_list, connected_components, induced_delete, mask_from, relabeled
 
+from tests.reference import is_minimal_by_removal, minimal_sets_by_exhaustion
 from tests.strategies import graphs, trees
 
 

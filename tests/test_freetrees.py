@@ -5,7 +5,6 @@ from vedom.freetrees import (
     canonical_form,
     canonical_rooted_sequence,
     enumerate_free_trees,
-    labeled_trees,
     level_sequence_to_graph,
     pruefer_to_tree,
     rooted_level_sequences,
@@ -13,6 +12,8 @@ from vedom.freetrees import (
 )
 from vedom.constructions import path_graph
 from vedom.graph import Graph, is_tree, relabeled
+
+from tests.reference import labeled_trees
 
 ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
 

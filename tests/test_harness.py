@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -51,6 +52,13 @@ class TestCrossValidate:
         assert seq.wvd_tree_census == par.wvd_tree_census
         assert par.recognizer_oracle_mismatches == []
 
+    @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
+    def test_thread_count_check(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            cross_validate(1, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            lemma_suite(1, threads=threads)
+
 
 class TestLemmaSuite:
     def test_no_failures_up_to_nine(self):
@@ -62,6 +70,21 @@ class TestLemmaSuite:
         a = lemma_suite(3, transport_samples=25, seed=11)
         b = lemma_suite(3, transport_samples=25, seed=11)
         assert a.lemma_failures == b.lemma_failures == []
+
+    def test_parallel_matches_sequential(self):
+        seq = lemma_suite(7, transport_samples=30)
+        par = lemma_suite(7, transport_samples=30, threads=2)
+        assert par.trees_checked == seq.trees_checked
+        assert par.wvd_tree_census == seq.wvd_tree_census
+        assert par.recognizer_oracle_mismatches == seq.recognizer_oracle_mismatches
+        assert par.lemma_failures == seq.lemma_failures
+
+    def test_sweep_matches_cross_validate(self):
+        lemmas = lemma_suite(8, transport_samples=30)
+        cross = cross_validate(8)
+        assert lemmas.trees_checked == cross.trees_checked
+        assert lemmas.wvd_tree_census == cross.wvd_tree_census
+        assert lemmas.recognizer_oracle_mismatches == cross.recognizer_oracle_mismatches
 
 
 class TestQualifyingHypotheses:
