@@ -20,8 +20,15 @@ from .constructions import (
     sat_to_graph,
     unit_cut_decompose,
 )
-from .domination import FULL_MODE_GUARD, InstanceTooLargeError, oracle_report
-from .graph import Graph, GraphFormatError, bit_list, parse_edge_list, serialize_edge_list
+from .domination import FULL_MODE_GUARD, InstanceTooLargeError, _check_guard, oracle_report
+from .graph import (
+    Graph,
+    GraphFormatError,
+    _parse_edge_list,
+    bit_list,
+    parse_edge_list,
+    serialize_edge_list,
+)
 from .harness import ORACLE_SWEEP_MAX, cross_validate, lemma_suite
 from .recognizer import RecognitionResult, recognize
 from .reduction import reduce_graph
@@ -37,7 +44,10 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
+    with open(args.graph, "r", encoding="utf-8") as handle:
+        n, edges = _parse_edge_list(handle.read())
+    _check_guard(n, None, args.max_vertices)  # before the graph is built
+    g = Graph.from_edges(n, edges)
     report = oracle_report(g, guard=args.max_vertices)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -221,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=FULL_MODE_GUARD,
         help="override the oracle vertex guard",
     )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker processes for enumerate, lemma suite included",
-    )
 
     parser = argparse.ArgumentParser(
         prog="vedom",
@@ -263,6 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common], help="tree sweep vs the oracle")
     p.add_argument("--max-n", type=int, required=True, help="largest order to sweep")
     p.add_argument("--lemmas", action="store_true", help="also run the lemma suite")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes for the sweep, lemma suite included",
+    )
     p.set_defaults(func=_cmd_enumerate)
     return parser
 

@@ -109,20 +109,21 @@ def is_minimal_ve_dominating(g: Graph, s: int) -> bool:
     return _all_members_have_private(dominated_edge_masks(g), s)
 
 
-def _check_guard(g: Graph, size_bound: int | None, guard: int) -> None:
+def _check_guard(n: int, size_bound: int | None, guard: int) -> None:
+    """Raise unless the oracle may search a graph of n vertices."""
     if size_bound is None:
-        if g.n > guard:
+        if n > guard:
             raise InstanceTooLargeError(
-                f"{g.n} vertices exceeds the full-mode guard of {guard}"
+                f"{n} vertices exceeds the full-mode guard of {guard}"
             )
     else:
         if size_bound < 0:
             raise ValueError("size bound must be non-negative")
-        if g.n > guard and not (
-            g.n <= SIZE_BOUNDED_VERTEX_GUARD and size_bound <= SIZE_BOUNDED_BOUND_GUARD
+        if n > guard and not (
+            n <= SIZE_BOUNDED_VERTEX_GUARD and size_bound <= SIZE_BOUNDED_BOUND_GUARD
         ):
             raise InstanceTooLargeError(
-                f"{g.n} vertices with bound {size_bound} exceeds the "
+                f"{n} vertices with bound {size_bound} exceeds the "
                 f"size-bounded guard ({SIZE_BOUNDED_VERTEX_GUARD} vertices, "
                 f"bound {SIZE_BOUNDED_BOUND_GUARD})"
             )
@@ -145,7 +146,7 @@ def enumerate_minimal_ve_dominating_sets(
     no superset gives them back and every subset of a minimal set keeps
     them.  So every cover the search reaches is minimal.
     """
-    _check_guard(g, size_bound, guard)
+    _check_guard(g.n, size_bound, guard)
     m = len(g.edges)
     full = (1 << m) - 1
     if full == 0:
@@ -177,7 +178,7 @@ def enumerate_minimal_ve_dominating_sets(
                 b |= 1 << v
 
     search(0, 0, 0, ())
-    minimal.sort(key=lambda s: (s.bit_count(), bit_list(s)))
+    minimal.sort(key=lambda s: (s.bit_count(), list(iter_bits(s))))
     return minimal
 
 

@@ -34,7 +34,10 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def bit_list(mask: int) -> list[int]:
-    return list(iter_bits(mask))
+    """The set bit indices of ``mask`` in increasing order, read off its
+    binary digits in time linear in its length (``iter_bits`` does big-int
+    work of that length per member, so prefer it only for small masks)."""
+    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,13 @@ def parse_edge_list(text: str) -> Graph:
     than the largest index seen (0 if there are no edges).  Every other
     non-blank line is "u v".  Errors report the 1-based line number.
     """
+    return Graph.from_edges(*_parse_edge_list(text))
+
+
+def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the validated (min, max) edges of an edge-list
+    document, without building the graph, so a caller can check the count
+    against a size guard first."""
     declared: int | None = None
     raw_edges: list[tuple[int, int, int]] = []
     saw_edge = False
@@ -144,7 +154,7 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: duplicate edge ({e[0]}, {e[1]})")
         seen.add(e)
         edges.append(e)
-    return Graph.from_edges(n, edges)
+    return n, edges
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -218,7 +228,7 @@ def induced_delete(g: Graph, removed: int) -> tuple[Graph, dict[int, int]]:
     Returns the new graph plus the old-index -> new-index map for the
     surviving vertices.  Edge order is recomputed canonically.
     """
-    keep = [v for v in range(g.n) if not (removed >> v) & 1]
+    keep = [v for v, digit in enumerate(f"{removed:0{g.n}b}"[::-1][:g.n]) if digit == "0"]
     remap = {old: new for new, old in enumerate(keep)}
     edges = [
         (remap[u], remap[v])

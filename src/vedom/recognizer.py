@@ -8,14 +8,18 @@ then turns the partition into a checkable certificate: an independent set
 I inside L union S that ve-dominates every edge exactly once.  Failures come
 back as a concrete refutation (a forbidden induced path where one exists,
 otherwise the structural check that broke).
+
+Recognition runs in linear time.  The certificate is checked edge by edge
+from per-vertex member counts, never from per-vertex edge masks, and the
+forbidden paths are built outward from each leaf with per-vertex tables, so
+no step looks at every pair of vertices or of leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import dominated_edge_masks
-from .graph import Graph, bit_list, good_pendant_edges, is_tree, iter_bits, mask_from, traverse
+from .graph import Graph, bit_list, good_pendant_edges, is_tree, mask_from, traverse
 from .reduction import is_reduced, reduce_graph
 
 LABEL_LEAF = "L"
@@ -94,37 +98,76 @@ def find_forbidden_configuration(t: Graph) -> tuple[str, tuple[int, ...]] | None
       iii  p0 .. p6           with d(p0)=d(p6)=1 and d(p1)=d(p3)=d(p5)=2
 
     Configurations are searched in that order; ties within one break by
-    vertex order.  Paths in a tree are always induced, so leaf pairs at the
-    right distance are the only candidates; no pattern spans more than seven
-    vertices, so each leaf-to-leaf path is followed at most that far.
+    vertex order.  Paths in a tree are always induced, and every pattern
+    starts at a leaf p0 whose support p1 has degree 2, so p1 and p2 are
+    fixed by p0.  Per-vertex tables give each later vertex of the smallest
+    path in constant time, so the search is linear.
     """
     if not is_tree(t):
         raise ValueError("forbidden-configuration search requires a tree")
-    deg = [t.degree(v) for v in range(t.n)]
-    leaves = [v for v in range(t.n) if deg[v] == 1]
-    hits: list[tuple[int, tuple[int, ...]]] = []
-    for a in leaves:
-        _, parent = traverse(t, a)
-        for b in leaves:
-            if b == a:
-                continue
-            p = [b]
-            while p[-1] != a and len(p) < 7:
-                p.append(parent[p[-1]])
-            if p[-1] != a:
-                continue
-            p.reverse()
-            k = len(p)
-            if k == 4 and deg[p[1]] == 2:
-                hits.append((0, tuple(p)))
-            elif k == 5 and deg[p[1]] == 2:
-                hits.append((1, tuple(p)))
-            elif k == 7 and deg[p[1]] == deg[p[3]] == deg[p[5]] == 2:
-                hits.append((2, tuple(p)))
-    if not hits:
-        return None
-    rank, path = min(hits)
-    return ("i", "ii", "iii")[rank], path
+    n, adj = t.n, t.adj
+    deg = [len(a) for a in adj]
+    # leaf[v]: smallest leaf adjacent to v (the p3 of pattern i, the p4 of ii)
+    leaf = [-1] * n
+    for v in range(n):
+        if deg[v] == 1 and leaf[adj[v][0]] < 0:
+            leaf[adj[v][0]] = v
+    # pendant[v]: smallest neighbour of v that is a degree-2 support of a
+    # leaf (p5 of iii); leafy/leafy2[v]: the two smallest neighbours of v
+    # with a leaf neighbour (p3 of ii: p1 qualifies too and is skipped)
+    pendant = [-1] * n
+    leafy = [-1] * n
+    leafy2 = [-1] * n
+    for u in range(n):
+        if leaf[u] < 0:
+            continue
+        for v in adj[u]:
+            if leafy[v] < 0:
+                leafy[v] = u
+            elif leafy2[v] < 0:
+                leafy2[v] = u
+            if deg[u] == 2 and pendant[v] < 0:
+                pendant[v] = u
+    # stem[x]: smallest degree-2 neighbour u of x whose other neighbour y has
+    # a degree-2 support neighbour other than u (p3 of iii, seen from p2)
+    stem = [-1] * n
+    for u in range(n):
+        if deg[u] == 2:
+            x, y = adj[u]
+            if stem[x] < 0 and pendant[y] not in (-1, u):
+                stem[x] = u
+            if stem[y] < 0 and pendant[x] not in (-1, u):
+                stem[y] = u
+    best_ii: tuple[int, ...] | None = None
+    best_iii: tuple[int, ...] | None = None
+    for p0 in range(n):
+        if deg[p0] != 1:
+            continue
+        p1 = adj[p0][0]
+        if deg[p1] != 2:
+            continue
+        p2 = _other(adj[p1], p0)
+        if leaf[p2] >= 0:
+            return "i", (p0, p1, p2, leaf[p2])
+        if best_ii is None:
+            p3 = leafy[p2] if leafy[p2] != p1 else leafy2[p2]
+            if p3 >= 0:
+                best_ii = (p0, p1, p2, p3, leaf[p3])
+        if best_iii is None and stem[p2] >= 0:
+            p3 = stem[p2]
+            p4 = _other(adj[p3], p2)
+            p5 = pendant[p4]
+            best_iii = (p0, p1, p2, p3, p4, p5, _other(adj[p5], p4))
+    if best_ii is not None:
+        return "ii", best_ii
+    if best_iii is not None:
+        return "iii", best_iii
+    return None
+
+
+def _other(pair: tuple[int, ...], v: int) -> int:
+    """The neighbour of a degree-2 vertex that is not v."""
+    return pair[1] if pair[0] == v else pair[0]
 
 
 def unit_partition(t: Graph) -> UnitPartition | Refutation:
@@ -166,7 +209,12 @@ def unit_partition(t: Graph) -> UnitPartition | Refutation:
         if len(s_neighbors) != 1:
             return Refutation("w-multiplicity", (w, *s_neighbors))
 
-    assert len(leaves) == len(support_set) == len(backbone) == t.n // 3
+    # Cannot fire: a reduced tree has no two leaves on one support, so
+    # supports and leaves pair up; the checks above pair every support with
+    # its own backbone vertex and every backbone vertex with one support.
+    # Kept as an explicit raise so that it also holds under python -O.
+    if not len(leaves) == len(support_set) == len(backbone) == t.n // 3:
+        raise InvalidPartitionError("unit counts are not equal thirds of the order")
 
     backbone_edges = tuple(
         (u, v) for u, v in t.edges if u in backbone_set and v in backbone_set
@@ -227,10 +275,10 @@ def build_certificate(t: Graph, p: UnitPartition, invert: bool = False) -> int:
     for v in order[1:]:
         color[v] = color[parent[v]] ^ 1
     pick = 1 if invert else 0
-    cert = 0
+    digits = bytearray(b"0" * t.n)  # bit v of the mask is digits[v]
     for leaf, s, w in p.units:
-        cert |= 1 << (s if color[w] == pick else leaf)
-    return cert
+        digits[s if color[w] == pick else leaf] = ord("1")
+    return int(digits[::-1], 2)
 
 
 def verify_certificate(t: Graph, certificate: int) -> CertificateCheck:
@@ -238,16 +286,40 @@ def verify_certificate(t: Graph, certificate: int) -> CertificateCheck:
 
     Passes when the set is independent, stays inside the leaves and supports
     of good pendant edges, and every count is exactly 1.
+
+    A member ve-dominates edge ab when it lies in N[a] or N[b], so with
+    near[v] the number of members in N[v] the count of ab is near[a] +
+    near[b] minus the members in N[a] & N[b].  That intersection is a, b and
+    their common neighbours; a common member other than a and b is possible
+    only when both ends see a member besides a and b, and only then is the
+    smaller adjacency list scanned.  Over the edges of a tree the smaller
+    lists add up to at most 2n, so on trees the check takes linear time.
     """
-    masks = dominated_edge_masks(t)
-    counts = [0] * len(t.edges)
-    for v in iter_bits(certificate):
-        for e in iter_bits(masks[v]):
-            counts[e] += 1
     members = bit_list(certificate)
-    independent = all(
-        not t.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:]
-    )
+    adj = t.adj
+    inside = [0] * t.n
+    near = [0] * t.n
+    for v in members:
+        inside[v] = 1
+        near[v] += 1
+        for u in adj[v]:
+            near[u] += 1
+    counts = []
+    independent = True
+    edge_set: set[tuple[int, int]] | None = None
+    for a, b in t.edges:
+        ends = inside[a] + inside[b]
+        if ends == 2:
+            independent = False
+        count = near[a] + near[b] - ends
+        if near[a] > ends and near[b] > ends:
+            if edge_set is None:
+                edge_set = set(t.edges)
+            small, large = (a, b) if len(adj[a]) <= len(adj[b]) else (b, a)
+            count -= sum(
+                1 for c in adj[small] if inside[c] and (min(c, large), max(c, large)) in edge_set
+            )
+        counts.append(count)
     allowed = set()
     for leaf, support in good_pendant_edges(t):
         allowed.add(leaf)

@@ -3,8 +3,10 @@
 Some are the library's earlier searches: the hand-rolled graph searches from
 before the shared ``vedom.graph.traverse`` helper (the forbidden-path search
 builds every leaf's path to every vertex, the canonical sequence recurses
-once per tree level), and the oracle search that generated every cover
-before filtering for minimality.  The others are definitional oracles: the
+once per tree level), the oracle search that generated every cover
+before filtering for minimality, and the certificate check that counts
+dominators through per-vertex edge masks and tests independence pair by
+pair.  The others are definitional oracles: the
 2^n subset sweep, minimality by single-vertex removal, the truth-table
 satisfiability check and the labeled-tree enumeration.  They are slow but
 simple, so the tests compare the library against them.
@@ -22,8 +24,8 @@ from vedom.domination import (
     is_ve_dominating,
 )
 from vedom.freetrees import pruefer_to_tree
-from vedom.graph import Graph, bit_list, is_tree, iter_bits
-from vedom.recognizer import UnitPartition
+from vedom.graph import Graph, bit_list, good_pendant_edges, is_tree, iter_bits
+from vedom.recognizer import CertificateCheck, UnitPartition
 
 
 def minimal_sets_by_covers(g: Graph, size_bound: int | None = None) -> list[int]:
@@ -265,3 +267,28 @@ def build_certificate(t: Graph, p: UnitPartition) -> int:
     for leaf, s, w in p.units:
         cert |= 1 << (s if color[w] == 0 else leaf)
     return cert
+
+
+def verify_certificate(t: Graph, certificate: int) -> CertificateCheck:
+    """Dominator count of every edge summed over the members' dominated-edge
+    masks; independence tested on every pair of members."""
+    masks = dominated_edge_masks(t)
+    counts = [0] * len(t.edges)
+    for v in iter_bits(certificate):
+        for e in iter_bits(masks[v]):
+            counts[e] += 1
+    members = bit_list(certificate)
+    independent = all(
+        not t.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:]
+    )
+    allowed = set()
+    for leaf, support in good_pendant_edges(t):
+        allowed.add(leaf)
+        allowed.add(support)
+    within = all(v in allowed for v in members)
+    return CertificateCheck(
+        counts=tuple(counts),
+        independent=independent,
+        within_leaf_support=within,
+        exactly_once=all(c == 1 for c in counts),
+    )

@@ -3,7 +3,8 @@
 Each test prints a single "ACCEPTANCE <n> (<name>): PASS/FAIL" line (run
 pytest with -s to see them live).  The shared sweep fixture enumerates every
 non-isomorphic tree up to 15 vertices once and records the recognizer result
-next to the exact oracle report.
+next to the exact oracle report; the last test reuses it to compare the
+recognizer's searches with the references in tests/reference.py.
 """
 
 import itertools
@@ -29,8 +30,9 @@ from vedom.domination import (
 from vedom.freetrees import enumerate_free_trees
 from vedom.graph import bit_list, mask_from
 from vedom.harness import lemma_suite
-from vedom.recognizer import recognize, verify_certificate
+from vedom.recognizer import find_forbidden_configuration, recognize, verify_certificate
 
+from tests import reference
 from tests.reference import sat_decide_by_truth_table
 
 SWEEP_MAX = 15
@@ -247,3 +249,21 @@ def test_criterion_8_chain_sanity(tree_sweep):
                 f"order {n}: {rep.gamma_ve},{rep.i_ve},{rep.beta_ve},{rep.big_gamma_ve}"
             )
     _finish(8, "domination chain", failures, f"{checked} trees")
+
+
+def test_recognizer_searches_match_reference_on_sweep(tree_sweep):
+    """Forbidden-path witnesses on every tree up to order 15 and on its
+    reduced tree, and certificate checks on every T2 certificate, equal the
+    earlier implementations."""
+    records, _ = tree_sweep
+    failures = []
+    for n, t, res, _ in records:
+        for g in (t, res.reduced_tree):
+            got = find_forbidden_configuration(g)
+            if got != reference.find_forbidden_configuration(g):
+                failures.append(f"order {n} {g.edges}: witness {got}")
+        if res.case == "T2":
+            t2, cert = res.reduced_tree, res.certificate
+            if verify_certificate(t2, cert) != reference.verify_certificate(t2, cert):
+                failures.append(f"order {n} {t2.edges}: certificate check")
+    assert not failures, failures[:5]

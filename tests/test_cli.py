@@ -4,6 +4,7 @@ import os
 import pytest
 
 from vedom.cli import main
+from vedom.graph import Graph
 
 P6 = "n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 P7 = "n 7\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n"
@@ -50,6 +51,23 @@ class TestAnalyze:
         main(["analyze", p6_file, "--json"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_guard_is_checked_before_the_graph_is_built(self, tmp_path, monkeypatch, capsys):
+        def forbidden(*args):
+            raise AssertionError("graph built before the guard check")
+
+        f = tmp_path / "huge.el"
+        f.write_text("n 3000000\n")
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(forbidden))
+        assert main(["analyze", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 3000000 vertices exceeds the full-mode guard of 24\n"
+
+    def test_threads_is_not_an_analyze_flag(self, p6_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", p6_file, "--threads", "0"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_guard_override(self, tmp_path, capsys):
         f = tmp_path / "p30.el"

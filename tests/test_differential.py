@@ -1,21 +1,26 @@
 """The library's searches against the earlier implementations in
 tests/reference.py: same refutation witness, same canonical sequence and
-same certificate, on every small free tree and on seeded random trees; and
-the same minimal ve-dominating sets, in the same order, as the oracle's
-earlier generate-then-filter search, on graphs past the 16-vertex cap of the
+same certificate, on every small free tree and on seeded random trees; the
+same certificate check on arbitrary small graphs and vertex sets; and the
+same minimal ve-dominating sets, in the same order, as the oracle's earlier
+generate-then-filter search, on graphs past the 16-vertex cap of the
 exhaustive sweep."""
 
 import itertools
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from vedom.constructions import CnfInstance, expand_backbone, path_graph, sat_to_graph
 from vedom.domination import enumerate_minimal_ve_dominating_sets
 from vedom.freetrees import canonical_form, enumerate_free_trees, pruefer_to_tree
 from vedom.graph import Graph, relabeled
-from vedom.recognizer import find_forbidden_configuration, recognize
+from vedom.recognizer import find_forbidden_configuration, recognize, verify_certificate
 
 from tests import reference
+from tests.strategies import graphs
 
 
 def _random_tree(rng: random.Random, lo: int, hi: int):
@@ -66,6 +71,58 @@ def test_seeded_random_trees_match_reference():
     accepted = sum(_assert_same_as_reference(t) for t in trees)
     assert accepted >= len(trees) // 2
     assert max(t.n for t in trees) > 300
+
+
+def _recursive_tree(rng: random.Random, n: int) -> Graph:
+    """Every vertex after the first joins a uniformly chosen earlier one: a
+    shallow tree, so the cubic reference search stays cheap at this size."""
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def _planted(rng: random.Random, k: int, tail: int) -> tuple[Graph, Graph]:
+    """A shuffled backbone expansion of order 3k, and the same tree with a
+    path of ``tail`` new vertices hung off one backbone vertex.  A tail of 1,
+    2 or 4 plants forbidden pattern i, ii or iii."""
+    t, partition = expand_backbone(_recursive_tree(rng, k))
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    t = relabeled(t, perm)
+    edges = list(t.edges)
+    prev = perm[partition.units[rng.randrange(k)][2]]
+    for v in range(t.n, t.n + tail):
+        edges.append((prev, v))
+        prev = v
+    return t, Graph.from_edges(t.n + tail, edges)
+
+
+def test_large_seeded_trees_match_reference():
+    rng = random.Random(20251020)
+    witnesses = []
+    for k, tail in ((200, 4), (330, 2), (500, 1)):
+        t, planted = _planted(rng, k, tail)
+        result = recognize(t)
+        assert verify_certificate(t, result.certificate) == reference.verify_certificate(
+            t, result.certificate
+        )
+        found = find_forbidden_configuration(planted)
+        assert found == reference.find_forbidden_configuration(planted)
+        witnesses.append(found[0])
+    t = _random_tree(rng, 500, 500)
+    assert find_forbidden_configuration(t) == reference.find_forbidden_configuration(t)
+    assert witnesses == ["iii", "ii", "i"]
+
+
+@st.composite
+def _graph_and_mask(draw):
+    g = draw(graphs(max_n=12))
+    return g, draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+
+
+@given(_graph_and_mask())
+@settings(max_examples=200, deadline=None)
+def test_certificate_check_matches_reference_on_arbitrary_graphs(case):
+    g, mask = case
+    assert verify_certificate(g, mask) == reference.verify_certificate(g, mask)
 
 
 def _spider(rng: random.Random, n: int) -> Graph:

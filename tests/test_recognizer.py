@@ -1,8 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
+import vedom.domination
+import vedom.graph
+import vedom.recognizer
+from vedom.constructions import expand_backbone
 from vedom.domination import is_minimal_ve_dominating, oracle_report
-from vedom.freetrees import enumerate_free_trees, trees_isomorphic
+from vedom.freetrees import enumerate_free_trees, pruefer_to_tree, trees_isomorphic
 from vedom.graph import Graph, bit_list, mask_from
 from vedom.recognizer import (
     InvalidPartitionError,
@@ -162,6 +168,41 @@ class TestCertificates:
                 for invert in (False, True):
                     cert = build_certificate(t, p, invert=invert)
                     assert verify_certificate(t, cert).passed
+
+
+class TestNoQuadraticWork:
+    """Deterministic guards on the linear-time paths: the certificate check
+    must not test vertex pairs for adjacency or build per-vertex edge masks,
+    and the forbidden-path search must not search the tree once per leaf."""
+
+    def test_certificate_check_uses_no_pair_tests_or_edge_masks(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("quadratic helper called")
+
+        rng = random.Random(3)
+        t, p = expand_backbone(pruefer_to_tree(1000, [rng.randrange(1000) for _ in range(998)]))
+        cert = build_certificate(t, p)
+        monkeypatch.setattr(Graph, "has_edge", forbidden)
+        monkeypatch.setattr(vedom.domination, "dominated_edge_masks", forbidden)
+        monkeypatch.setattr(vedom.recognizer, "dominated_edge_masks", forbidden, raising=False)
+        assert t.n == 3000
+        assert verify_certificate(t, cert).passed
+
+    def test_forbidden_search_traverses_at_most_once(self, monkeypatch):
+        calls = []
+        original = vedom.graph.traverse
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        rng = random.Random(4)
+        t = pruefer_to_tree(1500, [rng.randrange(1500) for _ in range(1498)])
+        assert sum(t.degree(v) == 1 for v in range(t.n)) >= 500
+        monkeypatch.setattr(vedom.graph, "traverse", counted)
+        monkeypatch.setattr(vedom.recognizer, "traverse", counted)
+        assert find_forbidden_configuration(t) is not None
+        assert len(calls) <= 1
 
 
 class TestValidatePartition:
