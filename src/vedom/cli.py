@@ -203,7 +203,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         )
         return 2
     sweep = lemma_suite if args.lemmas else cross_validate
-    report = sweep(args.max_n, threads=args.threads)
+    report = sweep(args.max_n)
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -225,7 +225,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
-    common.add_argument(
+    oracle = argparse.ArgumentParser(add_help=False)  # read by analyze, recognize --verify
+    oracle.add_argument(
         "--max-vertices",
         type=int,
         default=FULL_MODE_GUARD,
@@ -238,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="exact oracle report")
+    p = sub.add_parser("analyze", parents=[common, oracle], help="exact oracle report")
     p.add_argument("graph", help="edge-list file")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("recognize", parents=[common], help="well-ve-dominated tree test")
+    p = sub.add_parser("recognize", parents=[common, oracle], help="well-ve-dominated tree test")
     p.add_argument("tree", help="edge-list file")
     p.add_argument("--verify", action="store_true", help="cross-check with the oracle")
     p.set_defaults(func=_cmd_recognize)
@@ -267,12 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common], help="tree sweep vs the oracle")
     p.add_argument("--max-n", type=int, required=True, help="largest order to sweep")
     p.add_argument("--lemmas", action="store_true", help="also run the lemma suite")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker processes for the sweep, lemma suite included",
-    )
     p.set_defaults(func=_cmd_enumerate)
     return parser
 

@@ -64,49 +64,40 @@ def ve_dominated_edges(g: Graph, v: int) -> int:
     return dominated_edge_masks(g)[v]
 
 
+def _coverage(g: Graph, s: int) -> tuple[list[int], int, int]:
+    """Dominated-edge masks, and the edges ve-dominated by at least one and
+    by at least two members of s, tallied in one pass over the members."""
+    masks = dominated_edge_masks(g)
+    once = twice = 0
+    for v in iter_bits(s):
+        twice |= once & masks[v]
+        once |= masks[v]
+    return masks, once, twice
+
+
 def is_ve_dominating(g: Graph, s: int) -> bool:
     """True when the union of dominated-edge masks over s covers every edge.
 
     Vacuously true on edgeless graphs, so the empty set dominates P_1.
     """
-    full = (1 << len(g.edges)) - 1
-    masks = dominated_edge_masks(g)
-    covered = 0
-    for v in iter_bits(s):
-        covered |= masks[v]
-        if covered == full:
-            return True
-    return covered == full
+    _, once, _ = _coverage(g, s)
+    return once == (1 << len(g.edges)) - 1
 
 
 def private_edges(g: Graph, s: int, v: int) -> int:
     """Edges ve-dominated by v and by no other member of s.  Requires v in s."""
     if not (s >> v) & 1:
         raise ValueError(f"vertex {v} is not a member of the set")
-    masks = dominated_edge_masks(g)
-    others = 0
-    for u in iter_bits(s & ~(1 << v)):
-        others |= masks[u]
-    return masks[v] & ~others
-
-
-def _all_members_have_private(masks: list[int], s: int) -> bool:
-    members = bit_list(s)
-    for v in members:
-        others = 0
-        for u in members:
-            if u != v:
-                others |= masks[u]
-        if not masks[v] & ~others:
-            return False
-    return True
+    masks, _, twice = _coverage(g, s)
+    return masks[v] & ~twice
 
 
 def is_minimal_ve_dominating(g: Graph, s: int) -> bool:
     """Minimality via private edges: s dominates and every member has one."""
-    if not is_ve_dominating(g, s):
+    masks, once, twice = _coverage(g, s)
+    if once != (1 << len(g.edges)) - 1:
         return False
-    return _all_members_have_private(dominated_edge_masks(g), s)
+    return all(masks[v] & ~twice for v in iter_bits(s))
 
 
 def _check_guard(n: int, size_bound: int | None, guard: int) -> None:
@@ -191,10 +182,10 @@ class DominationReport:
     minimal_size_multiset: dict[int, int]
     witness_min: int
     witness_max: int
-    i_ve: int
-    beta_ve: int
+    i_ve: int | None
+    beta_ve: int | None
     is_well_ve_dominated: bool
-    is_well_ve_covered: bool
+    is_well_ve_covered: bool | None
     enumeration_mode: str
 
     def to_json_dict(self) -> dict:
@@ -218,7 +209,9 @@ def oracle_report(
     """Full enumeration report; gamma_ve = big_gamma_ve = 0 on edgeless graphs.
 
     With a size bound the report describes only the minimal sets of size
-    <= size_bound (the verdict fields are then bound-relative).
+    <= size_bound (the verdict fields are then bound-relative), and i_ve,
+    beta_ve and is_well_ve_covered are None when none of them is
+    independent.
     """
     sets = enumerate_minimal_ve_dominating_sets(g, size_bound, guard)
     if not sets:
@@ -226,13 +219,11 @@ def oracle_report(
     adj = adjacency_masks(g)
     sizes = [s.bit_count() for s in sets]
     gamma, big_gamma = min(sizes), max(sizes)
-    independent = [s for s in sets if all(adj[v] & s == 0 for v in iter_bits(s))]
-    if not independent:
-        # every maximal independent set ve-dominates, so full mode always
-        # finds an independent minimal set; only a size bound can hide them
-        raise ValueError(f"no independent minimal set of size <= {size_bound}")
-    ind_sizes = [s.bit_count() for s in independent]
-    i_ve, beta_ve = min(ind_sizes), max(ind_sizes)
+    # every maximal independent set ve-dominates, so full mode always finds
+    # an independent minimal set; only a size bound can leave none
+    ind_sizes = [s.bit_count() for s in sets if all(adj[v] & s == 0 for v in iter_bits(s))]
+    i_ve = min(ind_sizes, default=None)
+    beta_ve = max(ind_sizes, default=None)
     witness_min = next(s for s in sets if s.bit_count() == gamma)
     witness_max = next(s for s in sets if s.bit_count() == big_gamma)
     mode = "full" if size_bound is None else f"size-bounded({size_bound})"
@@ -245,7 +236,7 @@ def oracle_report(
         i_ve=i_ve,
         beta_ve=beta_ve,
         is_well_ve_dominated=gamma == big_gamma,
-        is_well_ve_covered=i_ve == beta_ve,
+        is_well_ve_covered=i_ve == beta_ve if ind_sizes else None,
         enumeration_mode=mode,
     )
 

@@ -5,7 +5,9 @@ successor rule (start from the path sequence 1,2,...,n; repeatedly chop the
 last entry above 2 and tile the tail).  A rooted tree is kept exactly when
 its sequence equals the canonical sequence of the same tree re-rooted at its
 centroid, which picks one representative per free isomorphism class without
-storing anything.
+storing anything.  Most candidates are decided on the sequence alone: the
+sizes of the root's child subtrees are the gaps between successive level-2
+entries, so the root is a centroid exactly when no gap exceeds n/2.
 
 The canonical sequence doubles as a canonical form: two trees are isomorphic
 iff their centroid-rooted canonical sequences are equal.
@@ -125,13 +127,25 @@ def trees_isomorphic(a: Graph, b: Graph) -> bool:
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
     """Every isomorphism class of trees on n vertices exactly once,
-    in the deterministic level-sequence order."""
+    in the deterministic level-sequence order.
+
+    With big the largest child subtree of the root (the largest gap between
+    successive level-2 entries): if 2*big < n the root is the only centroid
+    and the sequence is already canonical, so it is kept; if 2*big > n the
+    root is no centroid, and no automorphism maps it onto one, so it is
+    dropped.  Only with two centroids (2*big == n) is the graph built and
+    its canonical form compared."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}")
     for seq in rooted_level_sequences(n):
-        g = level_sequence_to_graph(seq)
-        if canonical_form(g) == seq:
-            yield g
+        starts = [i for i, lvl in enumerate(seq) if lvl == 2] + [n]
+        big = max((b - a for a, b in zip(starts, starts[1:])), default=0)
+        if 2 * big < n:
+            yield level_sequence_to_graph(seq)
+        elif 2 * big == n:
+            g = level_sequence_to_graph(seq)
+            if canonical_form(g) == seq:
+                yield g
 
 
 def pruefer_to_tree(n: int, seq: list[int]) -> Graph:

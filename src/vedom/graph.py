@@ -77,9 +77,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def closed_neighborhood(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self.adj[v] + (v,)))
 

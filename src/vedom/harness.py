@@ -10,13 +10,9 @@ are expected to be empty on a correct build.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 
 from .constructions import unit_cut_decompose
 from .domination import oracle_report
@@ -54,10 +50,9 @@ class ValidationReport:
         }
 
 
-def _check_tree(job: tuple[Graph, bool]) -> tuple[bool, bool, list[tuple[str, str]]]:
+def _check_tree(t: Graph, lemmas: bool) -> tuple[bool, bool, list[tuple[str, str]]]:
     """Recognizer verdict, oracle verdict and, when lemmas is set, the lemma
     failures of one tree; recognize and the oracle run once each."""
-    t, lemmas = job
     result = recognize(t)
     rep = oracle_report(t)
     is_wvd = rep.is_well_ve_dominated
@@ -83,41 +78,34 @@ def _check_tree(job: tuple[Graph, bool]) -> tuple[bool, bool, list[tuple[str, st
     return result.verdict, is_wvd, failures
 
 
-def _check_args(max_n: int, threads: int) -> None:
+def _check_args(max_n: int) -> None:
     if not 1 <= max_n <= ORACLE_SWEEP_MAX:
         raise ValueError(f"max_n must be in 1..{ORACLE_SWEEP_MAX}")
-    # a process pool forks all its workers at the first submit
-    cpus = os.cpu_count() or 1
-    if not 1 <= threads <= cpus:
-        raise ValueError(f"threads must be in 1..{cpus}")
 
 
-def _sweep(report: ValidationReport, threads: int, lemmas: bool) -> ValidationReport:
-    """Check every free tree up to report.max_order once, in one process pool
-    when threads > 1, and tally verdicts, mismatches and lemma failures."""
+def _sweep(report: ValidationReport, lemmas: bool) -> ValidationReport:
+    """Check every free tree up to report.max_order once, and tally
+    verdicts, mismatches and lemma failures."""
     started = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        run = partial(pool.map, chunksize=64) if pool else map
-        for n in range(1, report.max_order + 1):
-            report.trees_checked[n] = report.wvd_tree_census[n] = 0
-            jobs = ((t, lemmas) for t in enumerate_free_trees(n))
-            for index, (recognized, oracle_says, failures) in enumerate(run(_check_tree, jobs)):
-                report.trees_checked[n] += 1
-                report.wvd_tree_census[n] += oracle_says
-                if recognized != oracle_says:
-                    report.recognizer_oracle_mismatches.append(
-                        f"order {n} tree #{index}: recognizer={recognized} oracle={oracle_says}"
-                    )
-                report.lemma_failures.extend(failures)
+    for n in range(1, report.max_order + 1):
+        report.trees_checked[n] = report.wvd_tree_census[n] = 0
+        for index, t in enumerate(enumerate_free_trees(n)):
+            recognized, oracle_says, failures = _check_tree(t, lemmas)
+            report.trees_checked[n] += 1
+            report.wvd_tree_census[n] += oracle_says
+            if recognized != oracle_says:
+                report.recognizer_oracle_mismatches.append(
+                    f"order {n} tree #{index}: recognizer={recognized} oracle={oracle_says}"
+                )
+            report.lemma_failures.extend(failures)
     report.elapsed += time.perf_counter() - started
     return report
 
 
-def cross_validate(max_n: int, threads: int = 1) -> ValidationReport:
-    """Recognizer verdict vs oracle verdict on every tree up to max_n, over
-    threads worker processes (1..os.cpu_count(); 1 runs in-process)."""
-    _check_args(max_n, threads)
-    return _sweep(ValidationReport(max_order=max_n), threads, lemmas=False)
+def cross_validate(max_n: int) -> ValidationReport:
+    """Recognizer verdict vs oracle verdict on every tree up to max_n."""
+    _check_args(max_n)
+    return _sweep(ValidationReport(max_order=max_n), lemmas=False)
 
 
 def _graph_tag(g: Graph) -> str:
@@ -173,7 +161,6 @@ def lemma_suite(
     max_n: int,
     transport_samples: int = 200,
     seed: int = 20240901,
-    threads: int = 1,
 ) -> ValidationReport:
     """Oracle-backed re-checks of the structural facts.
 
@@ -185,11 +172,11 @@ def lemma_suite(
     (e) well-ve-dominated implies i_ve = beta_ve;
     (f) gamma_ve is additive across every unit-cut edge of recognized trees.
 
-    Oracle-heavy checks (a, e) cap at ORACLE_HEAVY_MAX vertices.  (a) runs
-    in-process; (b)-(f) run on the cross_validate sweep, whose counts, census
-    and mismatches the report carries too.
+    Oracle-heavy checks (a, e) cap at ORACLE_HEAVY_MAX vertices.  (b)-(f)
+    run on the cross_validate sweep, whose counts, census and mismatches the
+    report carries too.
     """
-    _check_args(max_n, threads)
+    _check_args(max_n)
     started = time.perf_counter()
     report = ValidationReport(max_order=max_n)
     rng = random.Random(seed)
@@ -199,7 +186,7 @@ def lemma_suite(
         if oracle_report(g).is_well_ve_dominated != oracle_report(reduced).is_well_ve_dominated:
             report.lemma_failures.append(("reduction-transport", _graph_tag(g)))
     report.elapsed = time.perf_counter() - started
-    return _sweep(report, threads, lemmas=True)
+    return _sweep(report, lemmas=True)
 
 
 def _all_components_wvd(g: Graph) -> bool:

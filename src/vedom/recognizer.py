@@ -261,23 +261,21 @@ def validate_unit_partition(t: Graph, p: UnitPartition) -> None:
         raise InvalidPartitionError("backbone is not connected")
 
 
-def build_certificate(t: Graph, p: UnitPartition, invert: bool = False) -> int:
+def build_certificate(t: Graph, p: UnitPartition) -> int:
     """Independent exactly-once dominating set from a backbone 2-coloring.
 
     Color the backbone subtree; take the class X holding the minimum-index
-    backbone vertex (the other class with invert=True) and pick the support
-    of every X unit and the leaf of every other unit.  Either color class
-    gives a valid certificate.
+    backbone vertex and pick the support of every X unit and the leaf of
+    every other unit.  Either color class gives a valid certificate.
     """
     backbone = {u[2] for u in p.units}
     order, parent = traverse(t, min(backbone), backbone)
     color = {order[0]: 0}
     for v in order[1:]:
         color[v] = color[parent[v]] ^ 1
-    pick = 1 if invert else 0
     digits = bytearray(b"0" * t.n)  # bit v of the mask is digits[v]
     for leaf, s, w in p.units:
-        digits[s if color[w] == pick else leaf] = ord("1")
+        digits[s if color[w] == 0 else leaf] = ord("1")
     return int(digits[::-1], 2)
 
 

@@ -3,7 +3,8 @@
 Some are the library's earlier searches: the hand-rolled graph searches from
 before the shared ``vedom.graph.traverse`` helper (the forbidden-path search
 builds every leaf's path to every vertex, the canonical sequence recurses
-once per tree level), the oracle search that generated every cover
+once per tree level), the free-tree generator that builds a graph for every
+rooted sequence, the oracle search that generated every cover
 before filtering for minimality, and the certificate check that counts
 dominators through per-vertex edge masks and tests independence pair by
 pair.  The others are definitional oracles: the
@@ -17,15 +18,24 @@ from __future__ import annotations
 from typing import Iterator
 
 from vedom.constructions import CnfInstance
-from vedom.domination import (
-    InstanceTooLargeError,
-    _all_members_have_private,
-    dominated_edge_masks,
-    is_ve_dominating,
-)
-from vedom.freetrees import pruefer_to_tree
+from vedom.domination import InstanceTooLargeError, dominated_edge_masks, is_ve_dominating
+from vedom.freetrees import level_sequence_to_graph, pruefer_to_tree, rooted_level_sequences
 from vedom.graph import Graph, bit_list, good_pendant_edges, is_tree, iter_bits
 from vedom.recognizer import CertificateCheck, UnitPartition
+
+
+def _all_members_have_private(masks: list[int], s: int) -> bool:
+    """The library's earlier minimality filter: for each member, union the
+    masks of all the others and look for an edge outside that union."""
+    members = bit_list(s)
+    for v in members:
+        others = 0
+        for u in members:
+            if u != v:
+                others |= masks[u]
+        if not masks[v] & ~others:
+            return False
+    return True
 
 
 def minimal_sets_by_covers(g: Graph, size_bound: int | None = None) -> list[int]:
@@ -248,6 +258,16 @@ def canonical_rooted_sequence(g: Graph, root: int) -> tuple[int, ...]:
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     return max(canonical_rooted_sequence(g, c) for c in centroids(g))
+
+
+def enumerate_free_trees(n: int) -> Iterator[Graph]:
+    """The library's earlier free-tree filter: build the tree of every
+    rooted level sequence and keep it when its centroid canonical form is
+    that sequence."""
+    for seq in rooted_level_sequences(n):
+        g = level_sequence_to_graph(seq)
+        if canonical_form(g) == seq:
+            yield g
 
 
 def build_certificate(t: Graph, p: UnitPartition) -> int:

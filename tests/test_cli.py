@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -196,25 +195,31 @@ class TestEnumerate:
         assert data["mismatches"] == []
         assert data["lemma_failures"] == []
 
-    def test_threads_do_not_change_the_lemma_report(self, capsys):
-        reports = []
-        for threads in ("1", "2"):
-            argv = ["enumerate", "--max-n", "6", "--lemmas", "--json", "--threads", threads]
-            assert main(argv) == 0
-            data = json.loads(capsys.readouterr().out)
-            del data["elapsed_seconds"]
-            reports.append(data)
-        assert reports[0] == reports[1]
-
     def test_rejects_oversized_sweep(self, capsys):
         assert main(["enumerate", "--max-n", "16"]) == 2
 
-    @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
-    def test_rejects_bad_thread_count(self, threads, capsys):
-        for lemmas in ([], ["--lemmas"]):
-            argv = ["enumerate", "--max-n", "1", "--threads", str(threads), *lemmas]
-            assert main(argv) == 2
-            assert "threads" in capsys.readouterr().err
+    def test_threads_is_not_an_enumerate_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--max-n", "6", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "g.el"],
+        ["expand", "g.el"],
+        ["decompose", "g.el"],
+        ["from-cnf", "f.cnf", "--decide"],
+        ["enumerate", "--max-n", "1"],
+    ],
+)
+def test_max_vertices_only_where_the_oracle_guard_is_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-vertices", "-5"])
+    assert exc.value.code == 2
+    assert "--max-vertices" in capsys.readouterr().err
 
 
 class TestErrorPaths:

@@ -176,6 +176,17 @@ class TestSatDecide:
     def test_single_clause(self):
         assert sat_decide_via_graph(CnfInstance(3, ((1, 2, 3),))) is True
 
+    def test_bounded_report_at_2n_on_unsat_gadget_has_no_independent_set(self):
+        report = oracle_report(sat_to_graph(UNSAT_ALL_PATTERNS).graph, size_bound=6)
+        assert (report.i_ve, report.beta_ve, report.is_well_ve_covered) == (None, None, None)
+        d = report.to_json_dict()
+        assert (d["i_ve"], d["beta_ve"], d["wvc"]) == (None, None, None)
+        assert report.gamma_ve == 6
+
+    def test_bounded_report_at_2n_on_sat_gadget(self):
+        report = oracle_report(sat_to_graph(FIG_INSTANCE).graph, size_bound=8)
+        assert report.i_ve == 8
+
     def test_no_independent_small_set_in_unsat_gadget(self):
         gm = sat_to_graph(UNSAT_ALL_PATTERNS)
         adj = adjacency_masks(gm.graph)

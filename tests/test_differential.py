@@ -1,6 +1,7 @@
 """The library's searches against the earlier implementations in
 tests/reference.py: same refutation witness, same canonical sequence and
 same certificate, on every small free tree and on seeded random trees; the
+same free trees, labels and order included, as the earlier generator; the
 same certificate check on arbitrary small graphs and vertex sets; and the
 same minimal ve-dominating sets, in the same order, as the oracle's earlier
 generate-then-filter search, on graphs past the 16-vertex cap of the
@@ -64,6 +65,12 @@ def test_free_trees_up_to_order_11_match_reference():
     for n in range(1, 12):
         for t in enumerate_free_trees(n):
             _assert_same_as_reference(t)
+
+
+def test_free_trees_up_to_order_13_match_reference_generator():
+    for n in range(1, 14):
+        expected = [t.edges for t in reference.enumerate_free_trees(n)]
+        assert [t.edges for t in enumerate_free_trees(n)] == expected
 
 
 def test_seeded_random_trees_match_reference():

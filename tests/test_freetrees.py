@@ -45,7 +45,7 @@ class TestRootedSequences:
 
 class TestFreeTreeEnumeration:
     def test_counts_match_known_sequence(self):
-        for n in range(1, 13):
+        for n in range(1, 16):
             assert sum(1 for _ in enumerate_free_trees(n)) == FREE_TREE_COUNTS[n - 1]
 
     def test_order_four(self):

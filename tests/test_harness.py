@@ -1,5 +1,4 @@
 import json
-import os
 import random
 
 import pytest
@@ -45,20 +44,6 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(16)
 
-    def test_parallel_matches_sequential(self):
-        seq = cross_validate(7)
-        par = cross_validate(7, threads=2)
-        assert seq.trees_checked == par.trees_checked
-        assert seq.wvd_tree_census == par.wvd_tree_census
-        assert par.recognizer_oracle_mismatches == []
-
-    @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
-    def test_thread_count_check(self, threads):
-        with pytest.raises(ValueError, match="threads"):
-            cross_validate(1, threads=threads)
-        with pytest.raises(ValueError, match="threads"):
-            lemma_suite(1, threads=threads)
-
 
 class TestLemmaSuite:
     def test_no_failures_up_to_nine(self):
@@ -70,14 +55,6 @@ class TestLemmaSuite:
         a = lemma_suite(3, transport_samples=25, seed=11)
         b = lemma_suite(3, transport_samples=25, seed=11)
         assert a.lemma_failures == b.lemma_failures == []
-
-    def test_parallel_matches_sequential(self):
-        seq = lemma_suite(7, transport_samples=30)
-        par = lemma_suite(7, transport_samples=30, threads=2)
-        assert par.trees_checked == seq.trees_checked
-        assert par.wvd_tree_census == seq.wvd_tree_census
-        assert par.recognizer_oracle_mismatches == seq.recognizer_oracle_mismatches
-        assert par.lemma_failures == seq.lemma_failures
 
     def test_sweep_matches_cross_validate(self):
         lemmas = lemma_suite(8, transport_samples=30)
