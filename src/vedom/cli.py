@@ -20,13 +20,18 @@ from .constructions import (
     sat_to_graph,
     unit_cut_decompose,
 )
-from .domination import FULL_MODE_GUARD, InstanceTooLargeError, _check_guard, oracle_report
+from .domination import (
+    FULL_MODE_GUARD,
+    InstanceTooLargeError,
+    _check_guard,
+    is_well_ve_dominated,
+    oracle_report,
+)
 from .graph import (
     Graph,
     GraphFormatError,
     _parse_edge_list,
     bit_list,
-    parse_edge_list,
     serialize_edge_list,
 )
 from .harness import ORACLE_SWEEP_MAX, cross_validate, lemma_suite
@@ -34,9 +39,19 @@ from .recognizer import RecognitionResult, recognize
 from .reduction import reduce_graph
 
 
-def _read_graph(path: str) -> Graph:
+def _read_edges(path: str) -> tuple[int, list[tuple[int, int]]]:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+        return _parse_edge_list(handle.read())
+
+
+def _read_tree(path: str, task: str) -> Graph:
+    """The graph of an edge-list file that must hold a tree.  A tree has
+    n - 1 edges, so a wrong count is rejected, with the message the library
+    gives for a non-tree, before the graph is built."""
+    n, edges = _read_edges(path)
+    if len(edges) != n - 1:
+        raise ValueError(f"{task} requires a tree")
+    return Graph.from_edges(n, edges)
 
 
 def _emit_json(payload: dict) -> None:
@@ -44,8 +59,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    with open(args.graph, "r", encoding="utf-8") as handle:
-        n, edges = _parse_edge_list(handle.read())
+    n, edges = _read_edges(args.graph)
     _check_guard(n, None, args.max_vertices)  # before the graph is built
     g = Graph.from_edges(n, edges)
     report = oracle_report(g, guard=args.max_vertices)
@@ -85,7 +99,7 @@ def _recognition_dict(result: RecognitionResult) -> dict:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
-    t = _read_graph(args.tree)
+    t = _read_tree(args.tree, "recognition")
     result = recognize(t)
     if args.json:
         payload = _recognition_dict(result)
@@ -104,7 +118,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
                 f"witness {list(result.refutation.witness)}"
             )
     if args.verify:
-        oracle_says = oracle_report(t, guard=args.max_vertices).is_well_ve_dominated
+        oracle_says = is_well_ve_dominated(t, guard=args.max_vertices)
         agree = oracle_says == result.verdict
         if args.json:
             payload["oracle_agrees"] = agree
@@ -118,7 +132,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
+    g = Graph.from_edges(*_read_edges(args.graph))
     rmap = reduce_graph(g)
     representative = {
         str(v): rmap.representatives[rmap.class_of[v]] for v in range(g.n)
@@ -137,7 +151,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    r = _read_graph(args.backbone)
+    r = _read_tree(args.backbone, "backbone expansion")
     t, partition = expand_backbone(r)
     if args.json:
         _emit_json(
@@ -152,7 +166,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    t = _read_graph(args.tree)
+    t = _read_tree(args.tree, "recognition")
     result = recognize(t)
     if result.case != "T2":
         print(f"error: tree does not decompose (case {result.case})", file=sys.stderr)

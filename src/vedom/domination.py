@@ -2,9 +2,9 @@
 
 A vertex v ve-dominates an edge e when an endpoint of e lies in the closed
 neighborhood N[v]; a vertex set is ve-dominating when every edge is
-ve-dominated by some member.  This module enumerates all inclusion-minimal
-ve-dominating sets of a small graph exactly, and derives the extremal
-parameters from the enumeration:
+ve-dominated by some member.  One search visits all inclusion-minimal
+ve-dominating sets of a small graph exactly; its consumers list the sets,
+decide the verdict alone, or tally the extremal parameters:
 
   gamma_ve / big_gamma_ve   min / max size of a minimal ve-dominating set
   i_ve / beta_ve            the same extremes over independent minimal sets
@@ -17,8 +17,9 @@ entry points.  Vertex and edge sets are int bitmasks (see vedom.graph).
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable
 
 from .graph import Graph, bit_list, iter_bits
 
@@ -58,10 +59,15 @@ def adjacency_masks(g: Graph) -> list[int]:
 
 
 def ve_dominated_edges(g: Graph, v: int) -> int:
-    """Edge mask ve-dominated by the single vertex v."""
+    """Edge mask ve-dominated by the single vertex v: the edges with an
+    endpoint in N[v], each looked up in the sorted edge list."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return dominated_edge_masks(g)[v]
+    mask = 0
+    for a in (v,) + g.adj[v]:
+        for b in g.adj[a]:
+            mask |= 1 << bisect_left(g.edges, (a, b) if a < b else (b, a))
+    return mask
 
 
 def _coverage(g: Graph, s: int) -> tuple[list[int], int, int]:
@@ -120,6 +126,68 @@ def _check_guard(n: int, size_bound: int | None, guard: int) -> None:
             )
 
 
+def _search(
+    g: Graph,
+    size_bound: int | None,
+    guard: int,
+    visit: Callable[[int, bool], bool | None],
+) -> None:
+    """Call visit(chosen, independent) on every inclusion-minimal
+    ve-dominating set of g (of size <= size_bound when one is given), in
+    search order, and stop as soon as visit returns a true value.
+
+    The search branches on the lowest-index uncovered edge: for each vertex
+    that dominates it we either include that vertex or exclude it from the
+    rest of the branch, so every cover is generated along exactly one path.
+    Along a branch each member's private edges (dominated by no other
+    member) are tracked; once a member has none the branch is abandoned, as
+    no superset gives them back and every subset of a minimal set keeps
+    them.  So every cover the search reaches is minimal.  The independence
+    flag is carried down the branch too: adding v keeps it set only when v
+    has no neighbor among the members chosen so far.
+    """
+    _check_guard(g.n, size_bound, guard)
+    m = len(g.edges)
+    full = (1 << m) - 1
+    if full == 0:
+        visit(0, True)
+        return
+    masks = dominated_edge_masks(g)
+    adj = adjacency_masks(g)
+    edge_dominators: list[list[int]] = [[] for _ in range(m)]
+    for v in range(g.n):
+        for e in iter_bits(masks[v]):
+            edge_dominators[e].append(v)
+    bound = g.n if size_bound is None else min(size_bound, g.n)
+
+    def search(
+        chosen: int, covered: int, banned: int, private: tuple[int, ...], independent: bool
+    ) -> bool | None:
+        if covered == full:
+            return visit(chosen, independent)
+        if len(private) == bound:
+            return False
+        rem = ~covered & full
+        e = (rem & -rem).bit_length() - 1
+        b = banned
+        for v in edge_dominators[e]:
+            if not (b >> v) & 1:
+                mask = masks[v]
+                kept = tuple(p & ~mask for p in private)
+                if all(kept) and search(
+                    chosen | (1 << v),
+                    covered | mask,
+                    b,
+                    kept + (mask & ~covered,),
+                    independent and not adj[v] & chosen,
+                ):
+                    return True
+                b |= 1 << v
+        return False
+
+    search(0, 0, 0, (), True)
+
+
 def enumerate_minimal_ve_dominating_sets(
     g: Graph, size_bound: int | None = None, guard: int = FULL_MODE_GUARD
 ) -> list[int]:
@@ -128,49 +196,28 @@ def enumerate_minimal_ve_dominating_sets(
     Full mode (no size bound) returns every minimal set; size-bounded mode
     returns exactly the minimal sets of cardinality <= size_bound.  Output is
     ordered by (size, lexicographic member order) and contains each set once.
-
-    The search branches on the lowest-index uncovered edge: for each vertex
-    that dominates it we either include that vertex or exclude it from the
-    rest of the branch, so every cover is generated along exactly one path.
-    Along a branch each member's private edges (dominated by no other
-    member) are tracked; once a member has none the branch is abandoned, as
-    no superset gives them back and every subset of a minimal set keeps
-    them.  So every cover the search reaches is minimal.
     """
-    _check_guard(g.n, size_bound, guard)
-    m = len(g.edges)
-    full = (1 << m) - 1
-    if full == 0:
-        return [0]
-    masks = dominated_edge_masks(g)
-    edge_dominators: list[list[int]] = [[] for _ in range(m)]
-    for v in range(g.n):
-        for e in iter_bits(masks[v]):
-            edge_dominators[e].append(v)
-    bound = g.n if size_bound is None else min(size_bound, g.n)
-
     minimal: list[int] = []
-
-    def search(chosen: int, covered: int, banned: int, private: tuple[int, ...]) -> None:
-        if covered == full:
-            minimal.append(chosen)
-            return
-        if len(private) == bound:
-            return
-        rem = ~covered & full
-        e = (rem & -rem).bit_length() - 1
-        b = banned
-        for v in edge_dominators[e]:
-            if not (b >> v) & 1:
-                mask = masks[v]
-                kept = tuple(p & ~mask for p in private)
-                if all(kept):
-                    search(chosen | (1 << v), covered | mask, b, kept + (mask & ~covered,))
-                b |= 1 << v
-
-    search(0, 0, 0, ())
+    _search(g, size_bound, guard, lambda s, _: minimal.append(s))
     minimal.sort(key=lambda s: (s.bit_count(), list(iter_bits(s))))
     return minimal
+
+
+def is_well_ve_dominated(g: Graph, guard: int = FULL_MODE_GUARD) -> bool:
+    """True when all minimal ve-dominating sets of g have the same size.
+
+    The search stops at the second distinct size, so a graph that is not
+    well-ve-dominated is usually decided after a few minimal sets.  Guarded
+    like oracle_report in full mode.
+    """
+    sizes: set[int] = set()
+
+    def second_size(s: int, _: bool) -> bool:
+        sizes.add(s.bit_count())
+        return len(sizes) > 1
+
+    _search(g, None, guard, second_size)
+    return len(sizes) == 1
 
 
 @dataclass(frozen=True)
@@ -212,27 +259,40 @@ def oracle_report(
     <= size_bound (the verdict fields are then bound-relative), and i_ve,
     beta_ve and is_well_ve_covered are None when none of them is
     independent.
+
+    The report is tallied during the search: the count of each size, the
+    sizes of the independent sets, and per size the lexicographically first
+    set, which is the witness the sorted enumeration would list first.
     """
-    sets = enumerate_minimal_ve_dominating_sets(g, size_bound, guard)
-    if not sets:
+    counts: dict[int, int] = {}
+    first: dict[int, int] = {}
+    ind_sizes: set[int] = set()
+
+    def tally(s: int, independent: bool) -> None:
+        k = s.bit_count()
+        counts[k] = counts.get(k, 0) + 1
+        # of two sets of one size, s comes first exactly when it holds the
+        # lowest vertex in which they differ
+        if k not in first or s & (d := first[k] ^ s) & -d:
+            first[k] = s
+        if independent:
+            ind_sizes.add(k)
+
+    _search(g, size_bound, guard, tally)
+    if not counts:
         raise ValueError(f"no minimal ve-dominating set of size <= {size_bound}")
-    adj = adjacency_masks(g)
-    sizes = [s.bit_count() for s in sets]
-    gamma, big_gamma = min(sizes), max(sizes)
+    gamma, big_gamma = min(counts), max(counts)
     # every maximal independent set ve-dominates, so full mode always finds
     # an independent minimal set; only a size bound can leave none
-    ind_sizes = [s.bit_count() for s in sets if all(adj[v] & s == 0 for v in iter_bits(s))]
     i_ve = min(ind_sizes, default=None)
     beta_ve = max(ind_sizes, default=None)
-    witness_min = next(s for s in sets if s.bit_count() == gamma)
-    witness_max = next(s for s in sets if s.bit_count() == big_gamma)
     mode = "full" if size_bound is None else f"size-bounded({size_bound})"
     return DominationReport(
         gamma_ve=gamma,
         big_gamma_ve=big_gamma,
-        minimal_size_multiset=dict(sorted(Counter(sizes).items())),
-        witness_min=witness_min,
-        witness_max=witness_max,
+        minimal_size_multiset=dict(sorted(counts.items())),
+        witness_min=first[gamma],
+        witness_max=first[big_gamma],
         i_ve=i_ve,
         beta_ve=beta_ve,
         is_well_ve_dominated=gamma == big_gamma,

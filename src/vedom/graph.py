@@ -172,7 +172,15 @@ def traverse(g: Graph, root: int, allowed: set[int] | None = None) -> tuple[list
     for root and for every vertex not reached.
     """
     parent = [-1] * g.n
-    seen = [False] * g.n
+    return _reach(g, root, allowed, [False] * g.n, parent), parent
+
+
+def _reach(
+    g: Graph, root: int, allowed: set[int] | None, seen: list[bool], parent: list[int]
+) -> list[int]:
+    """The breadth-first order from root over vertices not yet marked in
+    seen, marking each one and recording its parent.  Callers that scan many
+    roots share seen and parent, so each scan allocates them once."""
     seen[root] = True
     order = [root]
     for v in order:  # order doubles as the queue: appends extend the loop
@@ -181,19 +189,18 @@ def traverse(g: Graph, root: int, allowed: set[int] | None = None) -> tuple[list
                 seen[u] = True
                 parent[u] = v
                 order.append(u)
-    return order, parent
+    return order
 
 
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, ordered by smallest member."""
-    unseen = set(range(g.n))
-    comps: list[int] = []
-    for start in range(g.n):
-        if start in unseen:
-            order, _ = traverse(g, start)
-            unseen.difference_update(order)
-            comps.append(mask_from(order))
-    return comps
+    seen = [False] * g.n
+    parent = [-1] * g.n
+    return [
+        mask_from(_reach(g, start, None, seen, parent))
+        for start in range(g.n)
+        if not seen[start]
+    ]
 
 
 def is_connected(g: Graph) -> bool:

@@ -4,10 +4,11 @@ Some are the library's earlier searches: the hand-rolled graph searches from
 before the shared ``vedom.graph.traverse`` helper (the forbidden-path search
 builds every leaf's path to every vertex, the canonical sequence recurses
 once per tree level), the free-tree generator that builds a graph for every
-rooted sequence, the oracle search that generated every cover
-before filtering for minimality, and the certificate check that counts
-dominators through per-vertex edge masks and tests independence pair by
-pair.  The others are definitional oracles: the
+rooted sequence, the oracle search that generated every cover before
+filtering for minimality, the oracle report that sorted the minimal sets
+and tested each for independence afterwards, and the certificate check
+that counts dominators through per-vertex edge masks and tests
+independence pair by pair.  The others are definitional oracles: the
 2^n subset sweep, minimality by single-vertex removal, the truth-table
 satisfiability check and the labeled-tree enumeration.  They are slow but
 simple, so the tests compare the library against them.
@@ -15,10 +16,17 @@ simple, so the tests compare the library against them.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator
 
 from vedom.constructions import CnfInstance
-from vedom.domination import InstanceTooLargeError, dominated_edge_masks, is_ve_dominating
+from vedom.domination import (
+    DominationReport,
+    InstanceTooLargeError,
+    adjacency_masks,
+    dominated_edge_masks,
+    is_ve_dominating,
+)
 from vedom.freetrees import level_sequence_to_graph, pruefer_to_tree, rooted_level_sequences
 from vedom.graph import Graph, bit_list, good_pendant_edges, is_tree, iter_bits
 from vedom.recognizer import CertificateCheck, UnitPartition
@@ -74,6 +82,33 @@ def minimal_sets_by_covers(g: Graph, size_bound: int | None = None) -> list[int]
     minimal = [s for s in covers if _all_members_have_private(masks, s)]
     minimal.sort(key=lambda s: (s.bit_count(), bit_list(s)))
     return minimal
+
+
+def oracle_report(g: Graph, size_bound: int | None = None) -> DominationReport:
+    """The library's earlier report: sort the minimal sets, then read the
+    sizes, the independent sizes and the first set of each extreme size off
+    the sorted list.  No vertex guard."""
+    sets = minimal_sets_by_covers(g, size_bound)
+    if not sets:
+        raise ValueError(f"no minimal ve-dominating set of size <= {size_bound}")
+    adj = adjacency_masks(g)
+    sizes = [s.bit_count() for s in sets]
+    gamma, big_gamma = min(sizes), max(sizes)
+    ind_sizes = [s.bit_count() for s in sets if all(adj[v] & s == 0 for v in iter_bits(s))]
+    i_ve = min(ind_sizes, default=None)
+    beta_ve = max(ind_sizes, default=None)
+    return DominationReport(
+        gamma_ve=gamma,
+        big_gamma_ve=big_gamma,
+        minimal_size_multiset=dict(sorted(Counter(sizes).items())),
+        witness_min=next(s for s in sets if s.bit_count() == gamma),
+        witness_max=next(s for s in sets if s.bit_count() == big_gamma),
+        i_ve=i_ve,
+        beta_ve=beta_ve,
+        is_well_ve_dominated=gamma == big_gamma,
+        is_well_ve_covered=i_ve == beta_ve if ind_sizes else None,
+        enumeration_mode="full" if size_bound is None else f"size-bounded({size_bound})",
+    )
 
 
 def minimal_sets_by_exhaustion(g: Graph) -> list[int]:

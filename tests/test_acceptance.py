@@ -25,6 +25,7 @@ from vedom.domination import (
     adjacency_masks,
     enumerate_minimal_ve_dominating_sets,
     is_minimal_ve_dominating,
+    is_well_ve_dominated,
     oracle_report,
 )
 from vedom.freetrees import enumerate_free_trees
@@ -249,6 +250,18 @@ def test_criterion_8_chain_sanity(tree_sweep):
                 f"order {n}: {rep.gamma_ve},{rep.i_ve},{rep.beta_ve},{rep.big_gamma_ve}"
             )
     _finish(8, "domination chain", failures, f"{checked} trees")
+
+
+def test_verdict_equals_report_on_sweep(tree_sweep):
+    """The oracle's verdict search, which stops at the second distinct size,
+    agrees with the full report on every tree up to order 15."""
+    records, _ = tree_sweep
+    failures = [
+        f"order {n} {t.edges}"
+        for n, t, _, rep in records
+        if is_well_ve_dominated(t) != rep.is_well_ve_dominated
+    ]
+    assert not failures, failures[:5]
 
 
 def test_recognizer_searches_match_reference_on_sweep(tree_sweep):

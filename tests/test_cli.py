@@ -107,6 +107,34 @@ class TestRecognize:
         assert main(["recognize", str(f)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("recognize", "recognition requires a tree"),
+        ("decompose", "recognition requires a tree"),
+        ("expand", "backbone expansion requires a tree"),
+    ],
+)
+def test_wrong_edge_count_is_rejected_before_the_graph_is_built(
+    command, message, tmp_path, monkeypatch, capsys
+):
+    def forbidden(*args):
+        raise AssertionError("graph built before the edge count was checked")
+
+    huge = tmp_path / "huge.el"
+    huge.write_text("n 3000000\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "from_edges", staticmethod(forbidden))
+        assert main([command, str(huge)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # n - 1 edges but not a tree: the graph is built, and the library
+    # rejects it with the same message
+    triangle = tmp_path / "triangle_and_vertex.el"
+    triangle.write_text("n 4\n0 1\n1 2\n0 2\n")
+    assert main([command, str(triangle)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestReduce:
     def test_star_reduces_to_edge(self, tmp_path, capsys):
         f = tmp_path / "star.el"

@@ -5,7 +5,8 @@ same free trees, labels and order included, as the earlier generator; the
 same certificate check on arbitrary small graphs and vertex sets; and the
 same minimal ve-dominating sets, in the same order, as the oracle's earlier
 generate-then-filter search, on graphs past the 16-vertex cap of the
-exhaustive sweep."""
+exhaustive sweep; and the same oracle report, witnesses included, as the
+earlier report that sorted the sets before tallying them."""
 
 import itertools
 import math
@@ -15,7 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vedom.constructions import CnfInstance, expand_backbone, path_graph, sat_to_graph
-from vedom.domination import enumerate_minimal_ve_dominating_sets
+from vedom.domination import (
+    enumerate_minimal_ve_dominating_sets,
+    is_well_ve_dominated,
+    oracle_report,
+)
 from vedom.freetrees import canonical_form, enumerate_free_trees, pruefer_to_tree
 from vedom.graph import Graph, relabeled
 from vedom.recognizer import find_forbidden_configuration, recognize, verify_certificate
@@ -171,15 +176,64 @@ def test_oracle_matches_cover_generation_past_exhaustion():
 
 
 def test_bounded_oracle_matches_cover_generation_on_sat_gadgets():
+    """Sets and reports at bounds 2n and 2n + 1; at bound 2n the
+    unsatisfiable gadget's report has no independent set, so i_ve and
+    beta_ve are None."""
     formulas = [
         # every sign pattern over three variables: unsatisfiable
         CnfInstance(3, tuple(itertools.product((1, -1), (2, -2), (3, -3)))),
+        CnfInstance(3, ((1, 2, 3),)),
         CnfInstance(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3), (-1, 2, -3), (1, 2, -3))),
         CnfInstance(4, ((1, 2, -3), (-1, 3, 4), (-2, -3, -4))),
         CnfInstance(4, ((1, -2, 3), (-1, 2, 4), (2, -3, -4), (-1, -2, -4), (1, 3, 4), (-2, 3, -4))),
     ]
+    without_independent = 0
     for f in formulas:
         g = sat_to_graph(f).graph
         for bound in (2 * f.variable_count, 2 * f.variable_count + 1):
             expected = reference.minimal_sets_by_covers(g, bound)
             assert enumerate_minimal_ve_dominating_sets(g, size_bound=bound) == expected
+            got = oracle_report(g, size_bound=bound).to_json_dict()
+            assert got == reference.oracle_report(g, bound).to_json_dict()
+            without_independent += got["i_ve"] is None
+    assert without_independent == 1
+
+
+def _random_graphs(count: int = 300, seed: int = 20251021, max_n: int = 14) -> list[Graph]:
+    """Graphs of 0 to max_n vertices, each edge present with a probability
+    drawn per graph, so sparse trees-like and dense graphs both occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, max_n)
+        p = rng.uniform(0.1, 0.6)
+        pairs = itertools.combinations(range(n), 2)
+        out.append(Graph.from_edges(n, [e for e in pairs if rng.random() < p]))
+    return out
+
+
+def _report_or_error(report, g, bound):
+    try:
+        return report(g, size_bound=bound).to_json_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_streamed_report_matches_reference_on_random_graphs():
+    """Full and bounded reports, witnesses included; a bound below gamma_ve
+    raises the same error in both."""
+    graphs = _random_graphs()
+    verdicts = []
+    bounded = []
+    for g in graphs:
+        rep = oracle_report(g)
+        assert rep.to_json_dict() == reference.oracle_report(g).to_json_dict()
+        assert is_well_ve_dominated(g) == rep.is_well_ve_dominated
+        verdicts.append(rep.is_well_ve_dominated)
+        for bound in (1, 2, 3):
+            got = _report_or_error(oracle_report, g, bound)
+            assert got == _report_or_error(reference.oracle_report, g, bound)
+            bounded.append("error" if isinstance(got, str) else got["i_ve"] is None)
+    assert max(g.n for g in graphs) == 14
+    assert True in verdicts and False in verdicts
+    assert {"error", True, False} <= set(bounded)

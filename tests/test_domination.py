@@ -12,6 +12,7 @@ from vedom.domination import (
     enumerate_minimal_ve_dominating_sets,
     is_minimal_ve_dominating,
     is_ve_dominating,
+    is_well_ve_dominated,
     oracle_report,
     private_edges,
     ve_dominated_edges,
@@ -53,6 +54,11 @@ class TestDominatedEdges:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ve_dominated_edges(path(2), 5)
+
+
+@given(graphs(max_n=10))
+def test_single_vertex_mask_matches_all_masks(g):
+    assert [ve_dominated_edges(g, v) for v in range(g.n)] == dominated_edge_masks(g)
 
 
 class TestIsVeDominating:
@@ -226,6 +232,15 @@ class TestOracleReport:
         g = Graph.from_edges(25, [(i, i + 1) for i in range(24)])
         with pytest.raises(InstanceTooLargeError):
             oracle_report(g)
+
+    def test_verdict_guard_matches_report(self):
+        g = Graph.from_edges(25, [(i, i + 1) for i in range(24)])
+        with pytest.raises(InstanceTooLargeError) as report_error:
+            oracle_report(g)
+        with pytest.raises(InstanceTooLargeError) as verdict_error:
+            is_well_ve_dominated(g)
+        assert str(verdict_error.value) == str(report_error.value)
+        assert is_well_ve_dominated(g, guard=25) is oracle_report(g, guard=25).is_well_ve_dominated
 
     def test_guard_allows_bounded_mode(self):
         g = Graph.from_edges(30, [(i, i + 1) for i in range(29)])

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+from vedom import graph as graph_module
 from vedom.graph import (
     Graph,
     GraphFormatError,
@@ -154,6 +155,22 @@ class TestComponents:
 
     def test_empty_graph(self):
         assert connected_components(Graph.from_edges(0, [])) == []
+
+    def test_many_components_share_one_scan(self, monkeypatch):
+        """10,000 two-vertex components: each component's search must reuse
+        the scan's seen and parent lists rather than allocate n-length ones."""
+        g = Graph.from_edges(20_000, [(v, v + 1) for v in range(0, 20_000, 2)])
+        lists = []  # kept alive, so distinct lists have distinct ids
+        reach = graph_module._reach
+
+        def recording(g, root, allowed, seen, parent):
+            lists.extend((seen, parent))
+            return reach(g, root, allowed, seen, parent)
+
+        monkeypatch.setattr(graph_module, "_reach", recording)
+        assert connected_components(g) == [0b11 << v for v in range(0, 20_000, 2)]
+        assert len(lists) == 20_000
+        assert len({id(x) for x in lists}) == 2
 
 
 class TestTraverse:
