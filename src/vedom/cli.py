@@ -13,6 +13,7 @@ import json
 import sys
 
 from .constructions import (
+    BACKBONE_EXPANSION,
     CnfFormatError,
     expand_backbone,
     parse_dimacs_cnf,
@@ -30,12 +31,14 @@ from .domination import (
 from .graph import (
     Graph,
     GraphFormatError,
+    NotATreeError,
     _parse_edge_list,
     bit_list,
+    has_tree_size,
     serialize_edge_list,
 )
 from .harness import ORACLE_SWEEP_MAX, cross_validate, lemma_suite
-from .recognizer import RecognitionResult, recognize
+from .recognizer import RECOGNITION, RecognitionResult, recognize
 from .reduction import reduce_graph
 
 
@@ -45,12 +48,12 @@ def _read_edges(path: str) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _read_tree(path: str, task: str) -> Graph:
-    """The graph of an edge-list file that must hold a tree.  A tree has
-    n - 1 edges, so a wrong count is rejected, with the message the library
-    gives for a non-tree, before the graph is built."""
+    """The graph of an edge-list file that must hold a tree.  A wrong edge
+    count is rejected, with the error the library gives for a non-tree,
+    before the graph is built."""
     n, edges = _read_edges(path)
-    if len(edges) != n - 1:
-        raise ValueError(f"{task} requires a tree")
+    if not has_tree_size(n, len(edges)):
+        raise NotATreeError(task)
     return Graph.from_edges(n, edges)
 
 
@@ -99,7 +102,7 @@ def _recognition_dict(result: RecognitionResult) -> dict:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
-    t = _read_tree(args.tree, "recognition")
+    t = _read_tree(args.tree, RECOGNITION)
     result = recognize(t)
     if args.json:
         payload = _recognition_dict(result)
@@ -151,7 +154,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    r = _read_tree(args.backbone, "backbone expansion")
+    r = _read_tree(args.backbone, BACKBONE_EXPANSION)
     t, partition = expand_backbone(r)
     if args.json:
         _emit_json(
@@ -166,7 +169,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    t = _read_tree(args.tree, "recognition")
+    t = _read_tree(args.tree, RECOGNITION)
     result = recognize(t)
     if result.case != "T2":
         print(f"error: tree does not decompose (case {result.case})", file=sys.stderr)

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .domination import SIZE_BOUNDED_VERTEX_GUARD, InstanceTooLargeError, dominated_edge_masks
-from .graph import Graph, induced_delete, is_tree, mask_from, traverse
+from .graph import Graph, induced_delete, mask_from, require_tree, traverse
 from .recognizer import (
     LABEL_BACKBONE,
     LABEL_LEAF,
@@ -27,6 +27,8 @@ from .recognizer import (
     UnitPartition,
     validate_unit_partition,
 )
+
+BACKBONE_EXPANSION = "backbone expansion"  # the task a non-tree input error names
 
 
 class CnfFormatError(ValueError):
@@ -224,8 +226,7 @@ def expand_backbone(r: Graph) -> tuple[Graph, UnitPartition]:
     k..2k-1 and leaves 2k..3k-1 (support of backbone vertex w is k+w, its
     leaf 2k+w), and is well-ve-dominated with gamma_ve = |V(r)|.
     """
-    if not is_tree(r):
-        raise ValueError("backbone expansion requires a tree")
+    require_tree(r, BACKBONE_EXPANSION)
     if r.n < 2:
         raise ValueError("backbone expansion requires order at least 2")
     k = r.n

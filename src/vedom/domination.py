@@ -17,7 +17,6 @@ entry points.  Vertex and edge sets are int bitmasks (see vedom.graph).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,15 +58,10 @@ def adjacency_masks(g: Graph) -> list[int]:
 
 
 def ve_dominated_edges(g: Graph, v: int) -> int:
-    """Edge mask ve-dominated by the single vertex v: the edges with an
-    endpoint in N[v], each looked up in the sorted edge list."""
+    """Edge mask ve-dominated by the single vertex v."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    mask = 0
-    for a in (v,) + g.adj[v]:
-        for b in g.adj[a]:
-            mask |= 1 << bisect_left(g.edges, (a, b) if a < b else (b, a))
-    return mask
+    return dominated_edge_masks(g)[v]
 
 
 def _coverage(g: Graph, s: int) -> tuple[list[int], int, int]:

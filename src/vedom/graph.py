@@ -176,18 +176,24 @@ def traverse(g: Graph, root: int, allowed: set[int] | None = None) -> tuple[list
 
 
 def _reach(
-    g: Graph, root: int, allowed: set[int] | None, seen: list[bool], parent: list[int]
+    g: Graph,
+    root: int,
+    allowed: set[int] | None,
+    seen: list[bool],
+    parent: list[int] | None = None,
 ) -> list[int]:
     """The breadth-first order from root over vertices not yet marked in
-    seen, marking each one and recording its parent.  Callers that scan many
-    roots share seen and parent, so each scan allocates them once."""
+    seen, marking each one and, when a parent list is given, recording its
+    parent.  Callers that scan many roots share seen, so each scan allocates
+    it once."""
     seen[root] = True
     order = [root]
     for v in order:  # order doubles as the queue: appends extend the loop
         for u in g.adj[v]:
             if not seen[u] and (allowed is None or u in allowed):
                 seen[u] = True
-                parent[u] = v
+                if parent is not None:
+                    parent[u] = v
                 order.append(u)
     return order
 
@@ -195,23 +201,36 @@ def _reach(
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, ordered by smallest member."""
     seen = [False] * g.n
-    parent = [-1] * g.n
-    return [
-        mask_from(_reach(g, start, None, seen, parent))
-        for start in range(g.n)
-        if not seen[start]
-    ]
+    return [mask_from(_reach(g, start, None, seen)) for start in range(g.n) if not seen[start]]
 
 
 def is_connected(g: Graph) -> bool:
     return g.n > 0 and len(traverse(g, 0)[0]) == g.n
 
 
+class NotATreeError(ValueError):
+    """Raised when an operation defined only on trees gets another graph."""
+
+    def __init__(self, task: str) -> None:
+        super().__init__(f"{task} requires a tree")
+
+
+def has_tree_size(n: int, edge_count: int) -> bool:
+    """True when n vertices and edge_count edges can form a tree: n >= 1 and
+    n - 1 edges.  This half of is_tree needs no Graph, so a parsed edge
+    list can be rejected before one is built."""
+    return n >= 1 and edge_count == n - 1
+
+
 def is_tree(g: Graph) -> bool:
     """Connected with exactly n-1 edges; the empty graph is not a tree."""
-    if g.n == 0:
-        return False
-    return len(g.edges) == g.n - 1 and is_connected(g)
+    return has_tree_size(g.n, len(g.edges)) and is_connected(g)
+
+
+def require_tree(g: Graph, task: str) -> None:
+    """Raise NotATreeError(task) unless g is a tree."""
+    if not is_tree(g):
+        raise NotATreeError(task)
 
 
 def good_pendant_edges(g: Graph) -> list[tuple[int, int]]:

@@ -19,8 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bit_list, good_pendant_edges, is_tree, mask_from, traverse
+from .graph import (
+    Graph,
+    bit_list,
+    good_pendant_edges,
+    is_tree,
+    mask_from,
+    require_tree,
+    traverse,
+)
 from .reduction import is_reduced, reduce_graph
+
+RECOGNITION = "recognition"  # the task a non-tree input error names
 
 LABEL_LEAF = "L"
 LABEL_SUPPORT = "S"
@@ -103,8 +113,7 @@ def find_forbidden_configuration(t: Graph) -> tuple[str, tuple[int, ...]] | None
     fixed by p0.  Per-vertex tables give each later vertex of the smallest
     path in constant time, so the search is linear.
     """
-    if not is_tree(t):
-        raise ValueError("forbidden-configuration search requires a tree")
+    require_tree(t, "forbidden-configuration search")
     n, adj = t.n, t.adj
     deg = [len(a) for a in adj]
     # leaf[v]: smallest leaf adjacent to v (the p3 of pattern i, the p4 of ii)
@@ -177,8 +186,7 @@ def unit_partition(t: Graph) -> UnitPartition | Refutation:
     fails (leaf checks by leaf index, then backbone checks by vertex index,
     then backbone connectivity).
     """
-    if not is_tree(t):
-        raise ValueError("unit partition requires a tree")
+    require_tree(t, "unit partition")
     if not is_reduced(t):
         raise ValueError("unit partition requires a reduced tree")
     if t.n < 6:
@@ -340,8 +348,7 @@ def recognize(t: Graph) -> RecognitionResult:
     the derived certificate must verify.  Rejections carry a forbidden-path
     witness when one exists, else the failed structural check.
     """
-    if not is_tree(t):
-        raise ValueError("recognition requires a tree")
+    require_tree(t, RECOGNITION)
     red = reduce_graph(t)
     t2 = red.reduced_graph
 

@@ -56,11 +56,6 @@ class TestDominatedEdges:
             ve_dominated_edges(path(2), 5)
 
 
-@given(graphs(max_n=10))
-def test_single_vertex_mask_matches_all_masks(g):
-    assert [ve_dominated_edges(g, v) for v in range(g.n)] == dominated_edge_masks(g)
-
-
 class TestIsVeDominating:
     def test_path_four_center(self):
         assert is_ve_dominating(path(4), mask_from([2]))

@@ -5,14 +5,17 @@ from vedom import graph as graph_module
 from vedom.graph import (
     Graph,
     GraphFormatError,
+    NotATreeError,
     bit_list,
     connected_components,
     good_pendant_edges,
+    has_tree_size,
     induced_delete,
     is_tree,
     mask_from,
     parse_edge_list,
     relabeled,
+    require_tree,
     serialize_edge_list,
     traverse,
 )
@@ -144,6 +147,16 @@ class TestIsTree:
         assert not is_tree(Graph.from_edges(0, []))
         assert is_tree(Graph.from_edges(1, []))
 
+    def test_size_check_needs_no_graph(self):
+        assert has_tree_size(1, 0) and has_tree_size(3_000_000, 2_999_999)
+        assert not has_tree_size(0, -1)
+        assert not has_tree_size(3_000_000, 0)
+
+    def test_require_tree_names_the_task(self):
+        require_tree(path(3), "sorting")
+        with pytest.raises(NotATreeError, match="^sorting requires a tree$"):
+            require_tree(Graph.from_edges(4, [(0, 1), (2, 3)]), "sorting")
+
 
 class TestComponents:
     def test_single_component(self):
@@ -158,19 +171,20 @@ class TestComponents:
 
     def test_many_components_share_one_scan(self, monkeypatch):
         """10,000 two-vertex components: each component's search must reuse
-        the scan's seen and parent lists rather than allocate n-length ones."""
+        the scan's seen list rather than allocate an n-length one."""
         g = Graph.from_edges(20_000, [(v, v + 1) for v in range(0, 20_000, 2)])
         lists = []  # kept alive, so distinct lists have distinct ids
         reach = graph_module._reach
 
-        def recording(g, root, allowed, seen, parent):
-            lists.extend((seen, parent))
+        def recording(g, root, allowed, seen, parent=None):
+            assert parent is None
+            lists.append(seen)
             return reach(g, root, allowed, seen, parent)
 
         monkeypatch.setattr(graph_module, "_reach", recording)
         assert connected_components(g) == [0b11 << v for v in range(0, 20_000, 2)]
-        assert len(lists) == 20_000
-        assert len({id(x) for x in lists}) == 2
+        assert len(lists) == 10_000
+        assert len({id(x) for x in lists}) == 1
 
 
 class TestTraverse:
