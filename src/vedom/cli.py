@@ -54,7 +54,7 @@ def _read_tree(path: str, task: str) -> Graph:
     n, edges = _read_edges(path)
     if not has_tree_size(n, len(edges)):
         raise NotATreeError(task)
-    return Graph.from_edges(n, edges)
+    return Graph._build(n, edges)
 
 
 def _emit_json(payload: dict) -> None:
@@ -64,7 +64,7 @@ def _emit_json(payload: dict) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     n, edges = _read_edges(args.graph)
     _check_guard(n, None, args.max_vertices)  # before the graph is built
-    g = Graph.from_edges(n, edges)
+    g = Graph._build(n, edges)
     report = oracle_report(g, guard=args.max_vertices)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -103,6 +103,8 @@ def _recognition_dict(result: RecognitionResult) -> dict:
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
     t = _read_tree(args.tree, RECOGNITION)
+    if args.verify:
+        _check_guard(t.n, None, args.max_vertices)  # before any recognition work
     result = recognize(t)
     if args.json:
         payload = _recognition_dict(result)
@@ -135,7 +137,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = Graph.from_edges(*_read_edges(args.graph))
+    g = Graph._build(*_read_edges(args.graph))
     rmap = reduce_graph(g)
     representative = {
         str(v): rmap.representatives[rmap.class_of[v]] for v in range(g.n)
@@ -193,6 +195,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_from_cnf(args: argparse.Namespace) -> int:
     with open(args.dimacs, "r", encoding="utf-8") as handle:
         instance = parse_dimacs_cnf(handle.read())
+    satisfiable = sat_decide_via_graph(instance) if args.decide else None  # guard first
     gadget = sat_to_graph(instance)
     payload: dict = {
         "vertices": gadget.graph.n,
@@ -201,7 +204,7 @@ def _cmd_from_cnf(args: argparse.Namespace) -> int:
         "apex": gadget.apex,
     }
     if args.decide:
-        payload["satisfiable"] = sat_decide_via_graph(instance)
+        payload["satisfiable"] = satisfiable
     if args.json:
         payload["edge_list"] = serialize_edge_list(gadget.graph)
         _emit_json(payload)

@@ -191,13 +191,14 @@ def sat_decide_via_graph(f: CnfInstance) -> bool:
     literals consistent as a truth assignment.  Dropping independence loses
     the signal: the 2n literal vertices dominate every gadget.
     """
-    gadget = sat_to_graph(f)
-    g = gadget.graph
-    if g.n > SIZE_BOUNDED_VERTEX_GUARD:
+    order = 6 * f.variable_count + len(f.clauses) + 1  # checked before the gadget is built
+    if order > SIZE_BOUNDED_VERTEX_GUARD:
         raise InstanceTooLargeError(
-            f"gadget has {g.n} vertices, above the bounded-search guard "
+            f"gadget has {order} vertices, above the bounded-search guard "
             f"of {SIZE_BOUNDED_VERTEX_GUARD}"
         )
+    gadget = sat_to_graph(f)
+    g = gadget.graph
     masks = dominated_edge_masks(g)
     full = (1 << len(g.edges)) - 1
     n = f.variable_count

@@ -67,12 +67,19 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
             seen.add(e)
-        canon = tuple(sorted(seen))
+        return Graph._build(n, seen)
+
+    @staticmethod
+    def _build(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
+        """Unchecked: the distinct (min, max) pairs were validated already.
+        In canonical edge order the edges (u, v) with u < v come before the
+        edges (v, w), so appending leaves every adjacency list sorted."""
+        canon = tuple(sorted(pairs))
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in canon:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return Graph(n, tuple(tuple(sorted(a)) for a in nbrs), canon)
+        return Graph(n, tuple(map(tuple, nbrs)), canon)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -96,7 +103,7 @@ def parse_edge_list(text: str) -> Graph:
     than the largest index seen (0 if there are no edges).  Every other
     non-blank line is "u v".  Errors report the 1-based line number.
     """
-    return Graph.from_edges(*_parse_edge_list(text))
+    return Graph._build(*_parse_edge_list(text))
 
 
 def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
@@ -249,16 +256,24 @@ def induced_delete(g: Graph, removed: int) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on the vertices outside the ``removed`` mask.
 
     Returns the new graph plus the old-index -> new-index map for the
-    surviving vertices.  Edge order is recomputed canonically.
+    surviving vertices, which keep their relative order.
     """
     keep = [v for v, digit in enumerate(f"{removed:0{g.n}b}"[::-1][:g.n]) if digit == "0"]
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (remap[u], remap[v])
-        for u, v in g.edges
-        if u in remap and v in remap
-    ]
-    return Graph.from_edges(len(keep), edges), remap
+    return _renamed(g, keep), {old: new for new, old in enumerate(keep)}
+
+
+def _renamed(g: Graph, keep: list[int]) -> Graph:
+    """The subgraph induced on the increasing list keep, keep[i] renamed i:
+    the renaming preserves order, so g's canonical edge order and sorted
+    adjacency lists carry over without a sort or a check."""
+    new = [-1] * g.n
+    for i, v in enumerate(keep):
+        new[v] = i
+    return Graph(
+        len(keep),
+        tuple([tuple([new[u] for u in g.adj[v] if new[u] >= 0]) for v in keep]),
+        tuple([(new[u], new[v]) for u, v in g.edges if new[u] >= 0 and new[v] >= 0]),
+    )
 
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:

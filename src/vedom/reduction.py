@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, induced_delete, mask_from
+from .graph import Graph, _renamed
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,11 @@ class ReductionMap:
 
 def neighborhood_classes(g: Graph) -> list[list[int]]:
     """Equivalence classes under equality of open neighborhoods,
-    ordered by minimum member."""
+    ordered by minimum member (each class enters the dict at it)."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.adj[v], []).append(v)
-    return sorted(groups.values(), key=lambda c: c[0])
+    for v, nbrs in enumerate(g.adj):
+        groups.setdefault(nbrs, []).append(v)
+    return list(groups.values())
 
 
 def is_reduced(g: Graph) -> bool:
@@ -42,20 +42,19 @@ def reduce_graph(g: Graph) -> ReductionMap:
 
     The representative of each class is its minimum-index member, so the
     reduced graph is deterministic and verdicts transport by index map.
+    Representatives increase with their class index, which is their reduced
+    index; when no class collapses the reduced graph is g itself.
     """
     classes = neighborhood_classes(g)
     class_of = [0] * g.n
-    reps = []
     for idx, members in enumerate(classes):
-        reps.append(members[0])
         for v in members:
             class_of[v] = idx
-    removed = mask_from(v for v in range(g.n) if v != reps[class_of[v]])
-    reduced, remap = induced_delete(g, removed)
-    to_reduced = tuple(remap[reps[class_of[v]]] for v in range(g.n))
+    reps = [members[0] for members in classes]
+    to_reduced = tuple(class_of)
     return ReductionMap(
-        class_of=tuple(class_of),
+        class_of=to_reduced,
         representatives=tuple(reps),
-        reduced_graph=reduced,
+        reduced_graph=g if len(reps) == g.n else _renamed(g, reps),
         to_reduced=to_reduced,
     )

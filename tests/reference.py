@@ -8,7 +8,9 @@ rooted sequence, the oracle search that generated every cover before
 filtering for minimality, the oracle report that sorted the minimal sets
 and tested each for independence afterwards, and the certificate check
 that counts dominators through per-vertex edge masks and tests
-independence pair by pair.  The others are definitional oracles: the
+independence pair by pair, and the reduction that deleted every
+non-representative and rebuilt the rest through ``Graph.from_edges``.  The
+others are definitional oracles: the
 2^n subset sweep, minimality by single-vertex removal, the truth-table
 satisfiability check and the labeled-tree enumeration.  They are slow but
 simple, so the tests compare the library against them.
@@ -28,8 +30,9 @@ from vedom.domination import (
     is_ve_dominating,
 )
 from vedom.freetrees import level_sequence_to_graph, pruefer_to_tree, rooted_level_sequences
-from vedom.graph import Graph, bit_list, good_pendant_edges, is_tree, iter_bits
+from vedom.graph import Graph, bit_list, good_pendant_edges, is_tree, iter_bits, mask_from
 from vedom.recognizer import CertificateCheck, UnitPartition
+from vedom.reduction import ReductionMap
 
 
 def _all_members_have_private(masks: list[int], s: int) -> bool:
@@ -346,4 +349,42 @@ def verify_certificate(t: Graph, certificate: int) -> CertificateCheck:
         independent=independent,
         within_leaf_support=within,
         exactly_once=all(c == 1 for c in counts),
+    )
+
+
+def induced_delete(g: Graph, removed: int) -> tuple[Graph, dict[int, int]]:
+    """The library's earlier induced subgraph: survivors renamed through a
+    dict, the graph rebuilt through the checked ``Graph.from_edges``."""
+    keep = [v for v, digit in enumerate(f"{removed:0{g.n}b}"[::-1][:g.n]) if digit == "0"]
+    remap = {old: new for new, old in enumerate(keep)}
+    edges = [
+        (remap[u], remap[v])
+        for u, v in g.edges
+        if u in remap and v in remap
+    ]
+    return Graph.from_edges(len(keep), edges), remap
+
+
+def reduce_graph(g: Graph) -> ReductionMap:
+    """The library's earlier collapse pass: classes sorted by minimum member,
+    every non-representative deleted through ``induced_delete``, and each
+    vertex mapped through the returned dict."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(g.adj[v], []).append(v)
+    classes = sorted(groups.values(), key=lambda c: c[0])
+    class_of = [0] * g.n
+    reps = []
+    for idx, members in enumerate(classes):
+        reps.append(members[0])
+        for v in members:
+            class_of[v] = idx
+    removed = mask_from(v for v in range(g.n) if v != reps[class_of[v]])
+    reduced, remap = induced_delete(g, removed)
+    to_reduced = tuple(remap[reps[class_of[v]]] for v in range(g.n))
+    return ReductionMap(
+        class_of=tuple(class_of),
+        representatives=tuple(reps),
+        reduced_graph=reduced,
+        to_reduced=to_reduced,
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vedom import cli, constructions
 from vedom.cli import main
 from vedom.graph import Graph
 
@@ -57,7 +58,7 @@ class TestAnalyze:
 
         f = tmp_path / "huge.el"
         f.write_text("n 3000000\n")
-        monkeypatch.setattr(Graph, "from_edges", staticmethod(forbidden))
+        monkeypatch.setattr(Graph, "_build", staticmethod(forbidden))
         assert main(["analyze", str(f)]) == 2
         err = capsys.readouterr().err
         assert err == "error: 3000000 vertices exceeds the full-mode guard of 24\n"
@@ -106,6 +107,34 @@ class TestRecognize:
         f.write_text("n 4\n0 1\n1 2\n2 3\n0 3\n")
         assert main(["recognize", str(f)]) == 2
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_verify_guard_is_checked_before_recognition(
+        self, json_flag, tmp_path, monkeypatch, capsys
+    ):
+        def forbidden(*args):
+            raise AssertionError("recognized before the guard check")
+
+        f = tmp_path / "p30.el"
+        f.write_text("n 30\n" + "".join(f"{i} {i + 1}\n" for i in range(29)))
+        monkeypatch.setattr(cli, "recognize", forbidden)
+        assert main(["recognize", str(f), "--verify", *json_flag]) == 2
+        assert capsys.readouterr() == ("", "error: 30 vertices exceeds the full-mode guard of 24\n")
+
+    def test_twin_leaves_are_recognized_without_rebuilding_the_graph(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def forbidden(*args):
+            raise AssertionError("graph rebuilt through the checked constructor")
+
+        # P6 with two extra leaves twinned with leaf 0 and one with leaf 5
+        f = tmp_path / "twins.el"
+        f.write_text("n 9\n0 1\n1 2\n2 3\n3 4\n4 5\n1 6\n1 7\n4 8\n")
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(forbidden))
+        assert main(["recognize", str(f), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["verdict"], data["reduced_order"]) == ("yes", 6)
+        assert data["to_reduced"] == [0, 1, 2, 3, 4, 5, 0, 0, 5]
+
 
 @pytest.mark.parametrize(
     "command, message",
@@ -124,7 +153,7 @@ def test_wrong_edge_count_is_rejected_before_the_graph_is_built(
     huge = tmp_path / "huge.el"
     huge.write_text("n 3000000\n")
     with monkeypatch.context() as patch:
-        patch.setattr(Graph, "from_edges", staticmethod(forbidden))
+        patch.setattr(Graph, "_build", staticmethod(forbidden))
         assert main([command, str(huge)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     # n - 1 edges but not a tree: the graph is built, and the library
@@ -203,6 +232,22 @@ class TestFromCnf:
         f.write_text(FIG_CNF)
         assert main(["from-cnf", str(f)]) == 0
         assert capsys.readouterr().out.startswith("n 28\n")
+
+    def test_decide_guard_is_checked_before_the_gadget_is_built(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def forbidden(*args):
+            raise AssertionError("gadget built before the guard check")
+
+        f = tmp_path / "over.cnf"
+        f.write_text("p cnf 7 1\n1 2 3 0\n")  # 6 * 7 + 1 + 1 = 44 gadget vertices
+        monkeypatch.setattr(cli, "sat_to_graph", forbidden)
+        monkeypatch.setattr(constructions, "sat_to_graph", forbidden)
+        assert main(["from-cnf", str(f), "--decide"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: gadget has 44 vertices, above the bounded-search guard of 40\n",
+        )
 
     def test_bad_cnf(self, tmp_path, capsys):
         f = tmp_path / "bad.cnf"

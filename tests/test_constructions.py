@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vedom import constructions
 from vedom.constructions import (
     CnfFormatError,
     CnfInstance,
@@ -17,6 +18,7 @@ from vedom.constructions import (
     unit_cut_extend,
 )
 from vedom.domination import (
+    InstanceTooLargeError,
     adjacency_masks,
     enumerate_minimal_ve_dominating_sets,
     is_minimal_ve_dominating,
@@ -193,6 +195,14 @@ class TestSatDecide:
         sets = enumerate_minimal_ve_dominating_sets(gm.graph, size_bound=6)
         for s in sets:
             assert any(adj[v] & s for v in bit_list(s))
+
+    def test_guard_is_checked_before_the_gadget_is_built(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("gadget built before the guard check")
+
+        monkeypatch.setattr(constructions, "sat_to_graph", forbidden)
+        with pytest.raises(InstanceTooLargeError, match="gadget has 44 vertices"):
+            sat_decide_via_graph(CnfInstance(7, ((1, 2, 3),)))
 
     @given(cnf_instances())
     @settings(max_examples=40, deadline=None)

@@ -6,7 +6,10 @@ same certificate check on arbitrary small graphs and vertex sets; and the
 same minimal ve-dominating sets, in the same order, as the oracle's earlier
 generate-then-filter search, on graphs past the 16-vertex cap of the
 exhaustive sweep; and the same oracle report, witnesses included, as the
-earlier report that sorted the sets before tallying them."""
+earlier report that sorted the sets before tallying them; and the same
+reduction map and induced subgraph as the earlier code that rebuilt each
+graph through ``Graph.from_edges``, whose result the unchecked
+``Graph._build`` also matches."""
 
 import itertools
 import math
@@ -22,11 +25,12 @@ from vedom.domination import (
     oracle_report,
 )
 from vedom.freetrees import canonical_form, enumerate_free_trees, pruefer_to_tree
-from vedom.graph import Graph, relabeled
+from vedom.graph import Graph, induced_delete, relabeled
 from vedom.recognizer import find_forbidden_configuration, recognize, verify_certificate
+from vedom.reduction import reduce_graph
 
 from tests import reference
-from tests.strategies import graphs
+from tests.strategies import graphs, permutations_of
 
 
 def _random_tree(rng: random.Random, lo: int, hi: int):
@@ -237,3 +241,79 @@ def test_streamed_report_matches_reference_on_random_graphs():
     assert max(g.n for g in graphs) == 14
     assert True in verdicts and False in verdicts
     assert {"error", True, False} <= set(bounded)
+
+
+def _assert_reduction_matches_reference(g):
+    """Every ReductionMap field, the reduced Graph's n, adj and edges
+    included, as the earlier reduction gives it."""
+    assert reduce_graph(g) == reference.reduce_graph(g)
+
+
+def _twin_leaf_tree(rng: random.Random, k: int) -> Graph:
+    """A shuffled backbone expansion of order 3k with k // 6 + 1 extra
+    leaves, each a twin of the leaf on a random support."""
+    t, partition = expand_backbone(_recursive_tree(rng, k))
+    n = t.n + k // 6 + 1
+    edges = list(t.edges)
+    for v in range(t.n, n):
+        edges.append((partition.units[rng.randrange(k)][1], v))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabeled(Graph.from_edges(n, edges), perm)
+
+
+def test_reduction_matches_reference_on_trees():
+    for n in range(1, 12):
+        for t in enumerate_free_trees(n):
+            _assert_reduction_matches_reference(t)
+    rng = random.Random(20251022)
+    trees = [_twin_leaf_tree(rng, k) for k in (2, 5, 30, 200, 1000)]
+    trees += [_random_tree(rng, 6, 3000) for _ in range(5)]
+    for t in trees:
+        _assert_reduction_matches_reference(t)
+    assert max(t.n for t in trees) > 3000
+    for empty_or_p1 in (Graph.from_edges(0, []), Graph.from_edges(1, [])):
+        _assert_reduction_matches_reference(empty_or_p1)
+
+
+@st.composite
+def _graphs_with_twins(draw):
+    """A small graph with copies of some of its vertices, each copy taking
+    its original's open neighbourhood, relabelled at random; the twin
+    classes this makes are of any degree, not only leaves."""
+    g = draw(graphs(max_n=7))
+    edges, n = list(g.edges), g.n
+    for v in draw(st.lists(st.integers(0, g.n - 1), max_size=4)) if g.n else ():
+        edges += [(u, n) for u in g.adj[v]]
+        n += 1
+    return relabeled(Graph.from_edges(n, edges), draw(permutations_of(n)))
+
+
+@given(_graphs_with_twins())
+@settings(max_examples=150, deadline=None)
+def test_reduction_matches_reference_on_graphs_with_twins(g):
+    _assert_reduction_matches_reference(g)
+
+
+@given(st.integers(1, 4), st.integers(1, 4))
+def test_reduction_matches_reference_on_complete_bipartite_graphs(a, b):
+    """C_4 is K_{2,2}; each side is one twin class."""
+    k_ab = Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    _assert_reduction_matches_reference(k_ab)
+    assert reduce_graph(k_ab).reduced_graph.n == 2
+
+
+@given(_graph_and_mask())
+@settings(max_examples=100, deadline=None)
+def test_induced_delete_matches_reference(case):
+    g, removed = case
+    assert induced_delete(g, removed) == reference.induced_delete(g, removed)
+
+
+@given(graphs(max_n=10), st.randoms(use_true_random=False))
+def test_unchecked_constructor_matches_from_edges(g, rnd):
+    """Valid edges in any order, and for from_edges in either orientation."""
+    edges = list(g.edges)
+    rnd.shuffle(edges)
+    flipped = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+    assert Graph._build(g.n, edges) == Graph.from_edges(g.n, flipped) == g

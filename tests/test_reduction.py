@@ -1,5 +1,7 @@
 from hypothesis import given, settings
 
+from vedom import graph as graph_module
+from vedom import reduction
 from vedom.domination import oracle_report
 from vedom.freetrees import enumerate_free_trees, trees_isomorphic
 from vedom.graph import Graph
@@ -49,8 +51,9 @@ class TestReduce:
         assert trees_isomorphic(rmap.reduced_graph, path(2))
 
     def test_reduced_input_is_fixed_point(self):
-        rmap = reduce_graph(path(6))
-        assert rmap.reduced_graph == path(6)
+        p6 = path(6)
+        rmap = reduce_graph(p6)
+        assert rmap.reduced_graph is p6
         assert rmap.to_reduced == tuple(range(6))
 
     def test_representatives_are_minimum_members(self):
@@ -61,6 +64,18 @@ class TestReduce:
     def test_to_reduced_sends_twins_together(self):
         rmap = reduce_graph(star(3))
         assert rmap.to_reduced[1] == rmap.to_reduced[2] == rmap.to_reduced[3]
+
+    def test_renames_without_rebuilding(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("reduced graph rebuilt")
+
+        c4_with_twin_leaves = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (1, 5)])
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(forbidden))
+        monkeypatch.setattr(graph_module, "induced_delete", forbidden)
+        monkeypatch.setattr(reduction, "induced_delete", forbidden, raising=False)  # if imported
+        rmap = reduce_graph(c4_with_twin_leaves)
+        assert rmap.class_of == (0, 1, 0, 2, 3, 3)
+        assert rmap.reduced_graph.edges == ((0, 1), (0, 2), (1, 3))
 
 
 @given(graphs())
