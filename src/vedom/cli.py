@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, starmap
 
 from .constructions import (
     BACKBONE_EXPANSION,
@@ -34,6 +35,7 @@ from .graph import (
     NotATreeError,
     _parse_edge_list,
     bit_list,
+    check_order,
     has_tree_size,
     serialize_edge_list,
 )
@@ -57,8 +59,53 @@ def _read_tree(path: str, task: str) -> Graph:
     return Graph._build(n, edges)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """obj laid out as json.dumps(obj, indent=2, sort_keys=True) lays it out.
+
+    With an indent, json leaves its C encoder for a Python generator step
+    per element; this lays out the containers itself and renders runs of
+    ints, strs and int rows in C loops.  Dict keys are str in every payload.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if type(obj) is int:
+        return str(obj)
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)  # None, bool, float
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        texts = _texts(list(map(obj.__getitem__, keys)), inner)
+        items, brackets = map("{}: {}".format, map(_encode_str, keys), texts), "{}"
+    else:
+        items, brackets = _texts(obj, inner), "[]"
+    sep = ",\n" + inner
+    return brackets[0] + "\n" + inner + sep.join(items) + "\n" + indent + brackets[1]
+
+
+def _texts(values: list, inner: str):
+    """The JSON text of each value at depth inner: ints, strs, and lists of
+    ints of one nonzero length (units, edges) without a call per value."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return map(str, values)
+    if kinds == {str}:
+        return map(_encode_str, values)
+    if kinds <= {list, tuple} and len(widths := set(map(len, values))) == 1:
+        if set(map(type, chain.from_iterable(values))) == {int}:  # so width > 0
+            deeper = inner + "  "
+            row = "[\n" + deeper + (",\n" + deeper).join(["{}"] * widths.pop()) + "\n" + inner + "]"
+            return starmap(row.format, values)
+    return [_json_text(v, inner) for v in values]
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -85,12 +132,13 @@ def _recognition_dict(result: RecognitionResult) -> dict:
         "verdict": "yes" if result.verdict else "no",
         "case": result.case,
         "reduced_order": result.reduced_tree.n,
-        "to_reduced": list(result.to_reduced),
+        "to_reduced": result.to_reduced,
     }
     if result.partition is not None:
-        payload["labels"] = {str(v): lab for v, lab in enumerate(result.partition.label)}
-        payload["units"] = [list(u) for u in result.partition.units]
-        payload["backbone_edges"] = [list(e) for e in result.partition.backbone_edges]
+        label = result.partition.label
+        payload["labels"] = dict(zip(map(str, range(len(label))), label))
+        payload["units"] = result.partition.units
+        payload["backbone_edges"] = result.partition.backbone_edges
     if result.certificate is not None:
         payload["certificate"] = bit_list(result.certificate)
     if result.refutation is not None:
@@ -137,7 +185,9 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = Graph._build(*_read_edges(args.graph))
+    n, edges = _read_edges(args.graph)
+    check_order(n)  # before the graph is built
+    g = Graph._build(n, edges)
     rmap = reduce_graph(g)
     representative = {
         str(v): rmap.representatives[rmap.class_of[v]] for v in range(g.n)

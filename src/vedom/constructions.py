@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .domination import SIZE_BOUNDED_VERTEX_GUARD, InstanceTooLargeError, dominated_edge_masks
-from .graph import Graph, induced_delete, mask_from, require_tree, traverse
+from .graph import Graph, check_order, induced_delete, mask_from, require_tree, traverse
 from .recognizer import (
     LABEL_BACKBONE,
     LABEL_LEAF,
@@ -150,6 +150,7 @@ def sat_to_graph(f: CnfInstance) -> SatReductionMap:
     is deterministic in the instance.
     """
     n, m = f.variable_count, len(f.clauses)
+    check_order(6 * n + m + 1)  # before the gadget is built
     x = tuple(6 * i for i in range(n))
     y = tuple(6 * i + 1 for i in range(n))
     u = tuple(6 * i + 2 for i in range(n))

@@ -17,6 +17,16 @@ class GraphFormatError(ValueError):
     """Raised when an edge-list document cannot be parsed."""
 
 
+MAX_VERTICES = 10**6  # the largest order a count declared in a file may ask for
+
+
+def check_order(n: int) -> None:
+    """Raise ValueError when n exceeds MAX_VERTICES, so a declared count is
+    checked before anything is allocated in proportion to it."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceeds the limit of {MAX_VERTICES}")
+
+
 def mask_from(indices: Iterable[int]) -> int:
     """Bitmask with the given bit indices set."""
     m = 0
@@ -109,22 +119,26 @@ def parse_edge_list(text: str) -> Graph:
 def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     """The vertex count and the validated (min, max) edges of an edge-list
     document, without building the graph, so a caller can check the count
-    against a size guard first."""
+    against a size guard first.
+
+    One pass: a declared count precedes every edge, so ranges and
+    duplicates are checked as the lines are read.  The first such error is
+    raised only at the end, so that a format error on a later line wins."""
     declared: int | None = None
-    raw_edges: list[tuple[int, int, int]] = []
-    saw_edge = False
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    error: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = stripped.split()
         if parts[0] == "n":
-            if declared is not None or saw_edge:
+            if declared is not None or edges:
                 raise GraphFormatError(
                     f"line {lineno}: directive 'n' must be the first non-comment line"
                 )
             if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: malformed directive {stripped!r}")
+                raise GraphFormatError(f"line {lineno}: malformed directive {line.strip()!r}")
             try:
                 declared = int(parts[1])
             except ValueError:
@@ -133,32 +147,28 @@ def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
                 raise GraphFormatError(f"line {lineno}: negative vertex count")
             continue
         if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: malformed edge line {stripped!r}")
+            raise GraphFormatError(f"line {lineno}: malformed edge line {line.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: malformed edge line {stripped!r}") from None
+            raise GraphFormatError(f"line {lineno}: malformed edge line {line.strip()!r}") from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {lineno}: negative vertex index")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        saw_edge = True
-        raw_edges.append((lineno, u, v))
-
-    n = declared if declared is not None else (1 + max((max(u, v) for _, u, v in raw_edges), default=-1))
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for lineno, u, v in raw_edges:
-        if u >= n or v >= n:
-            raise GraphFormatError(
-                f"line {lineno}: vertex index {max(u, v)} exceeds declared count {n}"
-            )
         e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({e[0]}, {e[1]})")
+        if error is None:
+            if declared is not None and e[1] >= declared:
+                error = f"line {lineno}: vertex index {e[1]} exceeds declared count {declared}"
+            elif e in seen:
+                error = f"line {lineno}: duplicate edge ({e[0]}, {e[1]})"
         seen.add(e)
         edges.append(e)
-    return n, edges
+    if error is not None:
+        raise GraphFormatError(error)
+    if declared is not None:
+        return declared, edges
+    return 1 + max((v for _, v in edges), default=-1), edges
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .graph import (
     Graph,
     bit_list,
-    good_pendant_edges,
     is_tree,
     mask_from,
     require_tree,
@@ -192,56 +191,47 @@ def unit_partition(t: Graph) -> UnitPartition | Refutation:
     if t.n < 6:
         raise ValueError("unit partition requires order at least 6")
 
-    leaves = [v for v in range(t.n) if t.degree(v) == 1]
-    support_of: dict[int, int] = {}
+    adj = t.adj
+    deg = list(map(len, adj))
+    leaves = [v for v, d in enumerate(deg) if d == 1]
+    label = [LABEL_BACKBONE] * t.n
     for leaf in leaves:
-        support = t.adj[leaf][0]
-        if t.degree(support) != 2:
+        support = adj[leaf][0]
+        if deg[support] != 2:
             return Refutation("bad-leaf", (leaf, support))
-        support_of[leaf] = support
+        label[leaf] = LABEL_LEAF
+        label[support] = LABEL_SUPPORT
 
-    support_set = set(support_of.values())
-    leaf_set = set(leaves)
     units: list[tuple[int, int, int]] = []
+    support_count = [0] * t.n  # per vertex, the units whose support it is adjacent to
     for leaf in leaves:
-        s = support_of[leaf]
-        w = next(u for u in t.adj[s] if u != leaf)
-        if w in leaf_set or w in support_set:
+        s = adj[leaf][0]
+        w = _other(adj[s], leaf)
+        if label[w] != LABEL_BACKBONE:
             return Refutation("bad-support-degree", (leaf, s, w))
         units.append((leaf, s, w))
+        support_count[w] += 1
 
-    backbone = [v for v in range(t.n) if v not in leaf_set and v not in support_set]
-    backbone_set = set(backbone)
+    backbone = [v for v, lab in enumerate(label) if lab == LABEL_BACKBONE]
     for w in backbone:
-        s_neighbors = [u for u in t.adj[w] if u in support_set]
-        if len(s_neighbors) != 1:
+        if support_count[w] != 1:
+            s_neighbors = [u for u in adj[w] if label[u] == LABEL_SUPPORT]
             return Refutation("w-multiplicity", (w, *s_neighbors))
 
     # Cannot fire: a reduced tree has no two leaves on one support, so
     # supports and leaves pair up; the checks above pair every support with
     # its own backbone vertex and every backbone vertex with one support.
     # Kept as an explicit raise so that it also holds under python -O.
-    if not len(leaves) == len(support_set) == len(backbone) == t.n // 3:
+    if not len(leaves) == label.count(LABEL_SUPPORT) == len(backbone) == t.n // 3:
         raise InvalidPartitionError("unit counts are not equal thirds of the order")
 
     backbone_edges = tuple(
-        (u, v) for u, v in t.edges if u in backbone_set and v in backbone_set
+        (u, v) for u, v in t.edges if label[u] == label[v] == LABEL_BACKBONE
     )
-    if not _connected_within(t, backbone_set):
-        return Refutation("backbone-disconnected", tuple(sorted(backbone_set)))
-
-    label = [LABEL_BACKBONE] * t.n
-    for leaf, s, _ in units:
-        label[leaf] = LABEL_LEAF
-        label[s] = LABEL_SUPPORT
+    # the backbone induces a forest, which is connected iff it has k - 1 edges
+    if len(backbone_edges) != len(backbone) - 1:
+        return Refutation("backbone-disconnected", tuple(backbone))
     return UnitPartition(tuple(units), tuple(label), backbone_edges)
-
-
-def _connected_within(t: Graph, vertices: set[int]) -> bool:
-    if not vertices:
-        return False
-    order, _ = traverse(t, next(iter(vertices)), vertices)
-    return len(order) == len(vertices)
 
 
 def validate_unit_partition(t: Graph, p: UnitPartition) -> None:
@@ -265,7 +255,7 @@ def validate_unit_partition(t: Graph, p: UnitPartition) -> None:
     expected = tuple((u, v) for u, v in t.edges if u in backbone and v in backbone)
     if expected != p.backbone_edges:
         raise InvalidPartitionError("backbone edges do not match the W set")
-    if not _connected_within(t, backbone):
+    if len(expected) != len(backbone) - 1:  # a forest, as a subgraph of a tree
         raise InvalidPartitionError("backbone is not connected")
 
 
@@ -326,11 +316,13 @@ def verify_certificate(t: Graph, certificate: int) -> CertificateCheck:
                 1 for c in adj[small] if inside[c] and (min(c, large), max(c, large)) in edge_set
             )
         counts.append(count)
-    allowed = set()
-    for leaf, support in good_pendant_edges(t):
-        allowed.add(leaf)
-        allowed.add(support)
-    within = all(v in allowed for v in members)
+    # on a good pendant edge: a leaf whose support has degree 2, or that
+    # support, a degree-2 vertex with a leaf neighbour
+    deg = list(map(len, adj))
+    within = all(
+        deg[v] == 1 and deg[adj[v][0]] == 2 or deg[v] == 2 and 1 in (deg[adj[v][0]], deg[adj[v][1]])
+        for v in members
+    )
     return CertificateCheck(
         counts=tuple(counts),
         independent=independent,

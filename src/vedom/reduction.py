@@ -34,7 +34,7 @@ def neighborhood_classes(g: Graph) -> list[list[int]]:
 
 
 def is_reduced(g: Graph) -> bool:
-    return all(len(c) == 1 for c in neighborhood_classes(g))
+    return len(set(g.adj)) == g.n  # equal neighbourhoods are equal sorted tuples
 
 
 def reduce_graph(g: Graph) -> ReductionMap:
@@ -45,13 +45,10 @@ def reduce_graph(g: Graph) -> ReductionMap:
     Representatives increase with their class index, which is their reduced
     index; when no class collapses the reduced graph is g itself.
     """
-    classes = neighborhood_classes(g)
-    class_of = [0] * g.n
-    for idx, members in enumerate(classes):
-        for v in members:
-            class_of[v] = idx
-    reps = [members[0] for members in classes]
-    to_reduced = tuple(class_of)
+    first: dict[tuple[int, ...], int] = {}  # open neighbourhood -> minimum member
+    rep = list(map(first.setdefault, g.adj, range(g.n)))
+    reps = list(first.values())
+    to_reduced = tuple(map(dict(zip(reps, range(g.n))).__getitem__, rep))
     return ReductionMap(
         class_of=to_reduced,
         representatives=tuple(reps),

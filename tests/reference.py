@@ -8,8 +8,11 @@ rooted sequence, the oracle search that generated every cover before
 filtering for minimality, the oracle report that sorted the minimal sets
 and tested each for independence afterwards, and the certificate check
 that counts dominators through per-vertex edge masks and tests
-independence pair by pair, and the reduction that deleted every
-non-representative and rebuilt the rest through ``Graph.from_edges``.  The
+independence pair by pair, the reduction that deleted every
+non-representative and rebuilt the rest through ``Graph.from_edges``, the
+two-pass edge-list parser, the reducedness test that grouped every
+neighbourhood class, and the unit partition built on vertex sets with a
+traversal for backbone connectivity.  The
 others are definitional oracles: the
 2^n subset sweep, minimality by single-vertex removal, the truth-table
 satisfiability check and the labeled-tree enumeration.  They are slow but
@@ -30,8 +33,26 @@ from vedom.domination import (
     is_ve_dominating,
 )
 from vedom.freetrees import level_sequence_to_graph, pruefer_to_tree, rooted_level_sequences
-from vedom.graph import Graph, bit_list, good_pendant_edges, is_tree, iter_bits, mask_from
-from vedom.recognizer import CertificateCheck, UnitPartition
+from vedom.graph import (
+    Graph,
+    GraphFormatError,
+    bit_list,
+    good_pendant_edges,
+    is_tree,
+    iter_bits,
+    mask_from,
+    require_tree,
+    traverse,
+)
+from vedom.recognizer import (
+    LABEL_BACKBONE,
+    LABEL_LEAF,
+    LABEL_SUPPORT,
+    CertificateCheck,
+    InvalidPartitionError,
+    Refutation,
+    UnitPartition,
+)
 from vedom.reduction import ReductionMap
 
 
@@ -388,3 +409,118 @@ def reduce_graph(g: Graph) -> ReductionMap:
         reduced_graph=reduced,
         to_reduced=to_reduced,
     )
+
+
+def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The library's earlier two-pass parser: the first pass checks the
+    format and keeps a (lineno, u, v) triple per edge, the second checks
+    ranges against the final count and duplicates against a set."""
+    declared: int | None = None
+    raw_edges: list[tuple[int, int, int]] = []
+    saw_edge = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if parts[0] == "n":
+            if declared is not None or saw_edge:
+                raise GraphFormatError(
+                    f"line {lineno}: directive 'n' must be the first non-comment line"
+                )
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: malformed directive {stripped!r}")
+            try:
+                declared = int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: malformed vertex count {parts[1]!r}") from None
+            if declared < 0:
+                raise GraphFormatError(f"line {lineno}: negative vertex count")
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: malformed edge line {stripped!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: malformed edge line {stripped!r}") from None
+        if u < 0 or v < 0:
+            raise GraphFormatError(f"line {lineno}: negative vertex index")
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+        saw_edge = True
+        raw_edges.append((lineno, u, v))
+
+    n = declared if declared is not None else (1 + max((max(u, v) for _, u, v in raw_edges), default=-1))
+    seen: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
+    for lineno, u, v in raw_edges:
+        if u >= n or v >= n:
+            raise GraphFormatError(
+                f"line {lineno}: vertex index {max(u, v)} exceeds declared count {n}"
+            )
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate edge ({e[0]}, {e[1]})")
+        seen.add(e)
+        edges.append(e)
+    return n, edges
+
+
+def is_reduced(g: Graph) -> bool:
+    """The library's earlier test: group the vertices by open neighbourhood
+    and require every group to be a singleton."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v, nbrs in enumerate(g.adj):
+        groups.setdefault(nbrs, []).append(v)
+    return all(len(c) == 1 for c in groups.values())
+
+
+def unit_partition(t: Graph) -> UnitPartition | Refutation:
+    """The library's earlier unit partition: leaf, support and backbone
+    sets, degree calls, and a traversal for backbone connectivity."""
+    require_tree(t, "unit partition")
+    if not is_reduced(t):
+        raise ValueError("unit partition requires a reduced tree")
+    if t.n < 6:
+        raise ValueError("unit partition requires order at least 6")
+
+    leaves = [v for v in range(t.n) if t.degree(v) == 1]
+    support_of: dict[int, int] = {}
+    for leaf in leaves:
+        support = t.adj[leaf][0]
+        if t.degree(support) != 2:
+            return Refutation("bad-leaf", (leaf, support))
+        support_of[leaf] = support
+
+    support_set = set(support_of.values())
+    leaf_set = set(leaves)
+    units: list[tuple[int, int, int]] = []
+    for leaf in leaves:
+        s = support_of[leaf]
+        w = next(u for u in t.adj[s] if u != leaf)
+        if w in leaf_set or w in support_set:
+            return Refutation("bad-support-degree", (leaf, s, w))
+        units.append((leaf, s, w))
+
+    backbone = [v for v in range(t.n) if v not in leaf_set and v not in support_set]
+    backbone_set = set(backbone)
+    for w in backbone:
+        s_neighbors = [u for u in t.adj[w] if u in support_set]
+        if len(s_neighbors) != 1:
+            return Refutation("w-multiplicity", (w, *s_neighbors))
+
+    if not len(leaves) == len(support_set) == len(backbone) == t.n // 3:
+        raise InvalidPartitionError("unit counts are not equal thirds of the order")
+
+    backbone_edges = tuple(
+        (u, v) for u, v in t.edges if u in backbone_set and v in backbone_set
+    )
+    order, _ = traverse(t, backbone[0], backbone_set)
+    if len(order) != len(backbone_set):
+        return Refutation("backbone-disconnected", tuple(sorted(backbone_set)))
+
+    label = [LABEL_BACKBONE] * t.n
+    for leaf, s, _ in units:
+        label[leaf] = LABEL_LEAF
+        label[s] = LABEL_SUPPORT
+    return UnitPartition(tuple(units), tuple(label), backbone_edges)

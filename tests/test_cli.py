@@ -1,10 +1,24 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import vedom
 from vedom import cli, constructions
 from vedom.cli import main
-from vedom.graph import Graph
+from vedom.constructions import expand_backbone, parse_dimacs_cnf, sat_to_graph, unit_cut_decompose
+from vedom.domination import oracle_report
+from vedom.freetrees import pruefer_to_tree
+from vedom.graph import Graph, parse_edge_list, serialize_edge_list
+from vedom.harness import lemma_suite
+from vedom.recognizer import recognize
+from vedom.reduction import reduce_graph
 
 P6 = "n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 P7 = "n 7\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n"
@@ -310,3 +324,144 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+_json_scalars = st.one_of(
+    st.text(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# rows of one width, as units and edges are, and rows the writer must not
+# take for int rows: empty, ragged, or with a bool in them
+_rows = st.integers(0, 3).flatmap(
+    lambda k: st.lists(st.lists(st.integers() | st.booleans(), min_size=k, max_size=k))
+) | st.lists(st.tuples(st.integers(), st.integers()))
+_json_values = st.recursive(
+    _json_scalars | _rows,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _twin_leaf_expansion() -> Graph:
+    """A 90-vertex backbone expansion with a twin leaf on every fifth unit."""
+    t, partition = expand_backbone(pruefer_to_tree(30, [(7 * i) % 30 for i in range(28)]))
+    edges = list(t.edges)
+    for i, (_, s, _) in enumerate(partition.units[::5]):
+        edges.append((s, t.n + i))
+    return Graph.from_edges(t.n + len(partition.units[::5]), edges)
+
+
+def _reduce_payload(g: Graph) -> dict:
+    rmap = reduce_graph(g)
+    return {
+        "edge_list": serialize_edge_list(rmap.reduced_graph),
+        "representative_map": {
+            str(v): rmap.representatives[rmap.class_of[v]] for v in range(g.n)
+        },
+    }
+
+
+def _decompose_payload(g: Graph) -> dict:
+    result = recognize(g)
+    return {
+        "units": [list(u) for u in result.partition.units],
+        "bodies": [serialize_edge_list(b) for b in unit_cut_decompose(result.reduced_tree, result.partition)],
+        "backbone_edges": [list(e) for e in result.partition.backbone_edges],
+    }
+
+
+def _expand_payload(g: Graph) -> dict:
+    t, partition = expand_backbone(g)
+    return {"edge_list": serialize_edge_list(t), "units": [list(u) for u in partition.units]}
+
+
+def _from_cnf_payload(text: str) -> dict:
+    gadget = sat_to_graph(parse_dimacs_cnf(text))
+    return {
+        "vertices": gadget.graph.n,
+        "edges": len(gadget.graph.edges),
+        "clause_vertices": list(gadget.clause_vertices),
+        "apex": gadget.apex,
+        "edge_list": serialize_edge_list(gadget.graph),
+    }
+
+
+_TWINS = serialize_edge_list(_twin_leaf_expansion())
+
+
+@pytest.mark.parametrize(
+    "argv, text, payload",
+    [
+        (["analyze"], P6, lambda: oracle_report(parse_edge_list(P6)).to_json_dict()),
+        (["recognize"], _TWINS, lambda: cli._recognition_dict(recognize(parse_edge_list(_TWINS)))),
+        (["recognize"], P7, lambda: cli._recognition_dict(recognize(parse_edge_list(P7)))),
+        (
+            ["recognize", "--verify"],
+            P6,
+            lambda: {**cli._recognition_dict(recognize(parse_edge_list(P6))), "oracle_agrees": True},
+        ),
+        (["reduce"], _TWINS, lambda: _reduce_payload(parse_edge_list(_TWINS))),
+        (["expand"], P6, lambda: _expand_payload(parse_edge_list(P6))),
+        (["decompose"], _TWINS, lambda: _decompose_payload(parse_edge_list(_TWINS))),
+        (["from-cnf"], FIG_CNF, lambda: _from_cnf_payload(FIG_CNF)),
+    ],
+    ids=["analyze", "recognize-yes", "recognize-no", "recognize-verify", "reduce", "expand", "decompose", "from-cnf"],
+)
+def test_json_output_is_json_dumps_of_the_library_payload(argv, text, payload, tmp_path, capsys):
+    f = tmp_path / "input"
+    f.write_text(text)
+    assert main([argv[0], str(f), *argv[1:], "--json"]) == 0
+    assert capsys.readouterr().out == _dumps(payload())
+
+
+def test_enumerate_json_is_json_dumps_of_the_report(capsys):
+    assert main(["enumerate", "--max-n", "7", "--lemmas", "--json"]) == 0
+    out = capsys.readouterr().out
+    expected = lemma_suite(7).to_json_dict()
+    expected["elapsed_seconds"] = json.loads(out)["elapsed_seconds"]
+    assert out == _dumps(expected)
+
+
+def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a child process with its address space capped at 1 GiB, so
+    a count that reaches an allocation fails there and not on the host."""
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(vedom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "vedom.cli", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, name, text, order",
+    [
+        ("reduce", "count.el", "n 1000000000\n", 10**9),
+        ("reduce", "index.el", "0 999999999\n", 10**9),
+        ("from-cnf", "count.cnf", "p cnf 1000000000 1\n1 2 3 0\n", 6 * 10**9 + 2),
+    ],
+    ids=["reduce-count", "reduce-index", "from-cnf-count"],
+)
+def test_declared_count_over_the_limit_exits_before_allocation(command, name, text, order, tmp_path):
+    f = tmp_path / name
+    f.write_text(text)
+    done = _run_capped([command, str(f)])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {order} vertices exceeds the limit of 1000000\n"

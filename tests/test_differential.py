@@ -9,7 +9,9 @@ exhaustive sweep; and the same oracle report, witnesses included, as the
 earlier report that sorted the sets before tallying them; and the same
 reduction map and induced subgraph as the earlier code that rebuilt each
 graph through ``Graph.from_edges``, whose result the unchecked
-``Graph._build`` also matches."""
+``Graph._build`` also matches; the same edges or the same format error as
+the earlier two-pass parser; and the same unit partition or refutation,
+and the same reducedness verdict, as the earlier set-based code."""
 
 import itertools
 import math
@@ -25,9 +27,15 @@ from vedom.domination import (
     oracle_report,
 )
 from vedom.freetrees import canonical_form, enumerate_free_trees, pruefer_to_tree
-from vedom.graph import Graph, induced_delete, relabeled
-from vedom.recognizer import find_forbidden_configuration, recognize, verify_certificate
-from vedom.reduction import reduce_graph
+from vedom.graph import Graph, GraphFormatError, _parse_edge_list, induced_delete, relabeled
+from vedom.recognizer import (
+    Refutation,
+    find_forbidden_configuration,
+    recognize,
+    unit_partition,
+    verify_certificate,
+)
+from vedom.reduction import is_reduced, reduce_graph
 
 from tests import reference
 from tests.strategies import graphs, permutations_of
@@ -317,3 +325,85 @@ def test_unchecked_constructor_matches_from_edges(g, rnd):
     rnd.shuffle(edges)
     flipped = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
     assert Graph._build(g.n, edges) == Graph.from_edges(g.n, flipped) == g
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_edge_line = st.tuples(st.integers(-1, 8), st.integers(-1, 8)).map("{0[0]} {0[1]}".format)
+_format_error_line = st.sampled_from(["n 3", "n 9", "n", "1 2 3", "a b", "4", "-1 2", "5 5", "n x"])
+_harmless_line = st.sampled_from(["", "   ", "# comment", " # 1 2"])
+
+
+@st.composite
+def _edge_documents(draw):
+    """Edge lines over a small index range (so out-of-range and duplicate
+    edges are common) after an optional count, then maybe a line that is a
+    format error, such as a late directive, then more lines."""
+    lines = draw(st.lists(st.one_of(_edge_line, _harmless_line), max_size=10))
+    head = draw(st.one_of(st.just([]), st.integers(0, 6).map(lambda n: [f"n {n}"])))
+    tail = draw(st.lists(st.one_of(_format_error_line, _edge_line, _harmless_line), max_size=4))
+    return "\n".join(head + lines + tail) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(_edge_documents())
+@settings(max_examples=400)
+def test_parser_matches_two_pass_reference(text):
+    assert _outcome(_parse_edge_list, text) == _outcome(reference.parse_edge_list, text)
+
+
+def test_parser_raises_a_later_format_error_before_a_range_or_duplicate_error():
+    cases = {
+        "n 2\n0 5\nx y\n": "line 3: malformed edge line 'x y'",
+        "0 1\n1 0\nn 3\n": "line 3: directive 'n' must be the first non-comment line",
+        "n 2\n0 5\n0 1\n0 1\n": "line 2: vertex index 5 exceeds declared count 2",
+        "n 4\n0 1\n1 0\n0 9\n": "line 3: duplicate edge (0, 1)",
+    }
+    for text, message in cases.items():
+        assert _outcome(_parse_edge_list, text) == (GraphFormatError, message)
+        assert _outcome(reference.parse_edge_list, text) == (GraphFormatError, message)
+
+
+def _assert_partition_matches_reference(t) -> object:
+    """is_reduced on t and on its reduction, then unit_partition on the
+    reduction when it has at least 6 vertices; returns the partition
+    outcome, or None."""
+    assert is_reduced(t) == reference.is_reduced(t)
+    red = reduce_graph(t).reduced_graph
+    assert is_reduced(red) and reference.is_reduced(red)
+    assert _outcome(unit_partition, t) == _outcome(reference.unit_partition, t)
+    if red.n < 6:
+        return None
+    got = _outcome(unit_partition, red)
+    assert got == _outcome(reference.unit_partition, red)
+    return got
+
+
+def _kind(outcome) -> str:
+    return outcome.reason if isinstance(outcome, Refutation) else type(outcome).__name__
+
+
+def test_unit_partition_matches_reference_on_free_trees():
+    kinds = set()
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            outcome = _assert_partition_matches_reference(t)
+            if outcome is not None:
+                kinds.add(_kind(outcome))
+    assert kinds == {"UnitPartition", "bad-leaf", "w-multiplicity"}
+
+
+def test_unit_partition_matches_reference_on_large_trees():
+    rng = random.Random(20251023)
+    trees = [_random_tree(rng, 6, 3000) for _ in range(6)]
+    trees += [_twin_leaf_tree(rng, k) for k in (2, 7, 40, 300, 1000)]
+    for k in (3, 50, 400, 1000):
+        trees += _planted(rng, k, rng.choice((1, 2, 4)))
+    kinds = [_kind(_assert_partition_matches_reference(t)) for t in trees]
+    assert max(t.n for t in trees) >= 3000
+    assert {"UnitPartition", "bad-leaf", "w-multiplicity"} <= set(kinds)

@@ -4,9 +4,10 @@ format errors, and every subcommand ends with exit code 0, 1 or 2.
 Documents are built from edge-list and DIMACS lines, small integers and
 junk without digits, or are tree and 3-CNF files with such lines
 appended.  Every count and index drawn is at most 64: plain ``vedom
-reduce`` and ``vedom from-cnf`` allocate in proportion to a declared count,
-so a large one costs memory and finds no fault.  Junk leaves out Unicode
-digits (category Nd) because ``int`` parses them too.
+reduce`` and ``vedom from-cnf`` allocate in proportion to a declared count
+up to ``graph.MAX_VERTICES``, so a large one costs memory and finds no
+fault (``tests/test_cli.py`` checks the counts over that limit).  Junk
+leaves out Unicode digits (category Nd) because ``int`` parses them too.
 """
 
 import contextlib
