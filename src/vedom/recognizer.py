@@ -316,9 +316,7 @@ def verify_certificate(t: Graph, certificate: int) -> CertificateCheck:
                 1 for c in adj[small] if inside[c] and (min(c, large), max(c, large)) in edge_set
             )
         counts.append(count)
-    # on a good pendant edge: a leaf whose support has degree 2, or that
-    # support, a degree-2 vertex with a leaf neighbour
-    deg = list(map(len, adj))
+    deg = list(map(len, adj))  # good pendant edge: a leaf and its degree-2 support
     within = all(
         deg[v] == 1 and deg[adj[v][0]] == 2 or deg[v] == 2 and 1 in (deg[adj[v][0]], deg[adj[v][1]])
         for v in members
