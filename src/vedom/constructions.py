@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .domination import SIZE_BOUNDED_VERTEX_GUARD, InstanceTooLargeError, dominated_edge_masks
+from .domination import SIZE_BOUNDED_VERTEX_GUARD, InstanceTooLargeError, _masks
 from .graph import Graph, check_order, induced_delete, mask_from, require_tree, traverse
 from .recognizer import (
     LABEL_BACKBONE,
@@ -200,7 +200,7 @@ def sat_decide_via_graph(f: CnfInstance) -> bool:
         )
     gadget = sat_to_graph(f)
     g = gadget.graph
-    masks = dominated_edge_masks(g)
+    masks = _masks(g)[1]
     full = (1 << len(g.edges)) - 1
     n = f.variable_count
     choice_masks = [

@@ -31,30 +31,31 @@ class InstanceTooLargeError(ValueError):
     """Raised when a graph exceeds the oracle's vertex guard."""
 
 
-def dominated_edge_masks(g: Graph) -> list[int]:
-    """For each vertex v, the mask of edges ve-dominated by v.
-
-    v dominates edge (a, b) exactly when v is a, b, or adjacent to one of
-    them, so each edge contributes its bit to both endpoints and all their
-    neighbors.
-    """
-    masks = [0] * g.n
+def _masks(g: Graph) -> tuple[list[int], list[int]]:
+    """Per vertex v, the vertex mask of N[v] and the mask of the edges v
+    ve-dominates, the edges at the members of N[v]; O(n + m) mask steps."""
+    closed = [1 << v for v in range(g.n)]
+    inc = [0] * g.n
     for idx, (a, b) in enumerate(g.edges):
-        bit = 1 << idx
-        for end in (a, b):
-            masks[end] |= bit
-            for u in g.adj[end]:
-                masks[u] |= bit
-    return masks
+        closed[a] |= 1 << b
+        closed[b] |= 1 << a
+        inc[a] |= 1 << idx
+        inc[b] |= 1 << idx
+    dominated = inc[:]
+    for a, b in g.edges:
+        dominated[a] |= inc[b]
+        dominated[b] |= inc[a]
+    return closed, dominated
+
+
+def dominated_edge_masks(g: Graph) -> list[int]:
+    """For each vertex v, the mask of edges ve-dominated by v."""
+    return _masks(g)[1]
 
 
 def adjacency_masks(g: Graph) -> list[int]:
     """Open-neighborhood bitmask per vertex."""
-    out = [0] * g.n
-    for v in range(g.n):
-        for u in g.adj[v]:
-            out[v] |= 1 << u
-    return out
+    return [c & ~(1 << v) for v, c in enumerate(_masks(g)[0])]
 
 
 def ve_dominated_edges(g: Graph, v: int) -> int:
@@ -67,7 +68,7 @@ def ve_dominated_edges(g: Graph, v: int) -> int:
 def _coverage(g: Graph, s: int) -> tuple[list[int], int, int]:
     """Dominated-edge masks, and the edges ve-dominated by at least one and
     by at least two members of s, tallied in one pass over the members."""
-    masks = dominated_edge_masks(g)
+    masks = _masks(g)[1]
     once = twice = 0
     for v in iter_bits(s):
         twice |= once & masks[v]
@@ -130,56 +131,53 @@ def _search(
     ve-dominating set of g (of size <= size_bound when one is given), in
     search order, and stop as soon as visit returns a true value.
 
-    The search branches on the lowest-index uncovered edge: for each vertex
-    that dominates it we either include that vertex or exclude it from the
+    The search branches on the lowest-index uncovered edge (a, b): for each
+    vertex that dominates it, read low bit first off the closed-neighbourhood
+    mask N[a] | N[b], we either include that vertex or exclude it from the
     rest of the branch, so every cover is generated along exactly one path.
     Along a branch each member's private edges (dominated by no other
     member) are tracked; once a member has none the branch is abandoned, as
     no superset gives them back and every subset of a minimal set keeps
-    them.  So every cover the search reaches is minimal.  The independence
-    flag is carried down the branch too: adding v keeps it set only when v
-    has no neighbor among the members chosen so far.
+    them.  So every cover the search reaches is minimal.  A vertex that
+    completes the cover is visited at once, without a call, and with one
+    pick left under the bound only such vertices are tried.  The
+    independence flag is carried down the branch too: adding v keeps it set
+    only when v has no neighbor among the members chosen so far.
     """
     _check_guard(g.n, size_bound, guard)
-    m = len(g.edges)
-    full = (1 << m) - 1
+    edges = g.edges
+    full = (1 << len(edges)) - 1
     if full == 0:
         visit(0, True)
         return
-    masks = dominated_edge_masks(g)
-    adj = adjacency_masks(g)
-    edge_dominators: list[list[int]] = [[] for _ in range(m)]
-    for v in range(g.n):
-        for e in iter_bits(masks[v]):
-            edge_dominators[e].append(v)
+    closed, masks = _masks(g)
     bound = g.n if size_bound is None else min(size_bound, g.n)
 
     def search(
         chosen: int, covered: int, banned: int, private: tuple[int, ...], independent: bool
     ) -> bool | None:
-        if covered == full:
-            return visit(chosen, independent)
-        if len(private) == bound:
-            return False
         rem = ~covered & full
-        e = (rem & -rem).bit_length() - 1
-        b = banned
-        for v in edge_dominators[e]:
-            if not (b >> v) & 1:
-                mask = masks[v]
-                kept = tuple(p & ~mask for p in private)
-                if all(kept) and search(
-                    chosen | (1 << v),
-                    covered | mask,
-                    b,
-                    kept + (mask & ~covered,),
-                    independent and not adj[v] & chosen,
-                ):
+        a, b = edges[(rem & -rem).bit_length() - 1]
+        candidates = (closed[a] | closed[b]) & ~banned
+        last = len(private) + 1 == bound
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            v = bit.bit_length() - 1
+            now = covered | masks[v]
+            keep = (~masks[v]).__and__  # what a member keeps private once v joins
+            ind = independent and not closed[v] & chosen
+            if now == full:
+                if all(map(keep, private)) and visit(chosen | bit, ind):
                     return True
-                b |= 1 << v
+            elif not last and all(kept := tuple(map(keep, private))):
+                if search(chosen | bit, now, banned, kept + (now ^ covered,), ind):
+                    return True
+            banned |= bit
         return False
 
-    search(0, 0, 0, (), True)
+    if bound:
+        search(0, 0, 0, (), True)
 
 
 def enumerate_minimal_ve_dominating_sets(

@@ -111,9 +111,12 @@ def parse_edge_list(text: str) -> Graph:
     Lines starting with '#' are comments.  An optional first directive line
     "n <count>" declares the vertex count; otherwise the count is one more
     than the largest index seen (0 if there are no edges).  Every other
-    non-blank line is "u v".  Errors report the 1-based line number.
+    non-blank line is "u v".  Errors report the 1-based line number.  A
+    count above MAX_VERTICES raises ValueError before the graph is built.
     """
-    return Graph._build(*_parse_edge_list(text))
+    n, edges = _parse_edge_list(text)
+    check_order(n)
+    return Graph._build(n, edges)
 
 
 def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:

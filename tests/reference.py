@@ -1,20 +1,20 @@
 """Slow, independent implementations kept as references for the tests.
 
-Some are the library's earlier searches: the hand-rolled graph searches from
-before the shared ``vedom.graph.traverse`` helper (the forbidden-path search
-builds every leaf's path to every vertex, the canonical sequence recurses
-once per tree level), the free-tree generator that builds a graph for every
-rooted sequence, the oracle search that generated every cover before
-filtering for minimality, the oracle report that sorted the minimal sets
-and tested each for independence afterwards, and the certificate check
-that counts dominators through per-vertex edge masks and tests
-independence pair by pair, the reduction that deleted every
+Some are the library's earlier searches: the hand-rolled graph searches
+from before the shared ``vedom.graph.traverse`` helper (the forbidden-path
+search builds every leaf's path to every vertex, the canonical sequence
+recurses once per tree level), the free-tree generator that builds a graph
+for every rooted sequence, the per-vertex dominated-edge and adjacency
+masks built edge by edge and neighbour by neighbour, the oracle search that
+generated every cover before filtering for minimality, the oracle report
+that sorted the minimal sets and tested each for independence afterwards,
+and the certificate check that counts dominators through per-vertex edge
+masks and tests independence pair by pair, the reduction that deleted every
 non-representative and rebuilt the rest through ``Graph.from_edges``, the
 two-pass edge-list parser, the reducedness test that grouped every
 neighbourhood class, and the unit partition built on vertex sets with a
-traversal for backbone connectivity.  The
-others are definitional oracles: the
-2^n subset sweep, minimality by single-vertex removal, the truth-table
+traversal for backbone connectivity.  The others are definitional oracles:
+the 2^n subset sweep, minimality by single-vertex removal, the truth-table
 satisfiability check and the labeled-tree enumeration.  They are slow but
 simple, so the tests compare the library against them.
 """
@@ -25,13 +25,7 @@ from collections import Counter
 from typing import Iterator
 
 from vedom.constructions import CnfInstance
-from vedom.domination import (
-    DominationReport,
-    InstanceTooLargeError,
-    adjacency_masks,
-    dominated_edge_masks,
-    is_ve_dominating,
-)
+from vedom.domination import DominationReport, InstanceTooLargeError, is_ve_dominating
 from vedom.freetrees import level_sequence_to_graph, pruefer_to_tree, rooted_level_sequences
 from vedom.graph import (
     Graph,
@@ -54,6 +48,29 @@ from vedom.recognizer import (
     UnitPartition,
 )
 from vedom.reduction import ReductionMap
+
+
+def dominated_edge_masks(g: Graph) -> list[int]:
+    """The library's earlier mask rule, kept so that the references do not
+    share the library's masks: each edge contributes its bit to both
+    endpoints and all their neighbors."""
+    masks = [0] * g.n
+    for idx, (a, b) in enumerate(g.edges):
+        bit = 1 << idx
+        for end in (a, b):
+            masks[end] |= bit
+            for u in g.adj[end]:
+                masks[u] |= bit
+    return masks
+
+
+def adjacency_masks(g: Graph) -> list[int]:
+    """Open-neighborhood bitmask per vertex, read off the adjacency lists."""
+    out = [0] * g.n
+    for v in range(g.n):
+        for u in g.adj[v]:
+            out[v] |= 1 << u
+    return out
 
 
 def _all_members_have_private(masks: list[int], s: int) -> bool:

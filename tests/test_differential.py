@@ -6,7 +6,8 @@ same certificate check on arbitrary small graphs and vertex sets; and the
 same minimal ve-dominating sets, in the same order, as the oracle's earlier
 generate-then-filter search, on graphs past the 16-vertex cap of the
 exhaustive sweep; and the same oracle report, witnesses included, as the
-earlier report that sorted the sets before tallying them; and the same
+earlier report that sorted the sets before tallying them, and the same
+dominated-edge and adjacency masks as the earlier mask rule; and the same
 reduction map and induced subgraph as the earlier code that rebuilt each
 graph through ``Graph.from_edges``, whose result the unchecked
 ``Graph._build`` also matches; the same edges or the same format error as
@@ -22,6 +23,8 @@ from hypothesis import strategies as st
 
 from vedom.constructions import CnfInstance, expand_backbone, path_graph, sat_to_graph
 from vedom.domination import (
+    adjacency_masks,
+    dominated_edge_masks,
     enumerate_minimal_ve_dominating_sets,
     is_well_ve_dominated,
     oracle_report,
@@ -82,6 +85,7 @@ def test_free_trees_up_to_order_11_match_reference():
     for n in range(1, 12):
         for t in enumerate_free_trees(n):
             _assert_same_as_reference(t)
+            assert is_well_ve_dominated(t) == reference.oracle_report(t).is_well_ve_dominated
 
 
 def test_free_trees_up_to_order_13_match_reference_generator():
@@ -187,26 +191,30 @@ def test_oracle_matches_cover_generation_past_exhaustion():
         assert enumerate_minimal_ve_dominating_sets(g) == reference.minimal_sets_by_covers(g)
 
 
+_GADGET_FORMULAS = [
+    # every sign pattern over three variables: unsatisfiable
+    CnfInstance(3, tuple(itertools.product((1, -1), (2, -2), (3, -3)))),
+    CnfInstance(3, ((1, 2, 3),)),
+    CnfInstance(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3), (-1, 2, -3), (1, 2, -3))),
+    CnfInstance(4, ((1, 2, -3), (-1, 3, 4), (-2, -3, -4))),
+    CnfInstance(4, ((1, -2, 3), (-1, 2, 4), (2, -3, -4), (-1, -2, -4), (1, 3, 4), (-2, 3, -4))),
+]
+
+
 def test_bounded_oracle_matches_cover_generation_on_sat_gadgets():
-    """Sets and reports at bounds 2n and 2n + 1; at bound 2n the
-    unsatisfiable gadget's report has no independent set, so i_ve and
-    beta_ve are None."""
-    formulas = [
-        # every sign pattern over three variables: unsatisfiable
-        CnfInstance(3, tuple(itertools.product((1, -1), (2, -2), (3, -3)))),
-        CnfInstance(3, ((1, 2, 3),)),
-        CnfInstance(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3), (-1, 2, -3), (1, 2, -3))),
-        CnfInstance(4, ((1, 2, -3), (-1, 3, 4), (-2, -3, -4))),
-        CnfInstance(4, ((1, -2, 3), (-1, 2, 4), (2, -3, -4), (-1, -2, -4), (1, 3, 4), (-2, 3, -4))),
-    ]
+    """Sets and reports at bounds 2n and 2n + 1.  Bound 2n is each gadget's
+    gamma_ve, so the search reaches the level where one pick is left and
+    only a completing vertex is tried.  At bound 2n the unsatisfiable
+    gadget's report has no independent set, so i_ve and beta_ve are None."""
     without_independent = 0
-    for f in formulas:
+    for f in _GADGET_FORMULAS:
         g = sat_to_graph(f).graph
         for bound in (2 * f.variable_count, 2 * f.variable_count + 1):
             expected = reference.minimal_sets_by_covers(g, bound)
             assert enumerate_minimal_ve_dominating_sets(g, size_bound=bound) == expected
             got = oracle_report(g, size_bound=bound).to_json_dict()
             assert got == reference.oracle_report(g, bound).to_json_dict()
+            assert got["gamma_ve"] == 2 * f.variable_count
             without_independent += got["i_ve"] is None
     assert without_independent == 1
 
@@ -233,7 +241,8 @@ def _report_or_error(report, g, bound):
 
 def test_streamed_report_matches_reference_on_random_graphs():
     """Full and bounded reports, witnesses included; a bound below gamma_ve
-    raises the same error in both."""
+    raises the same error in both.  At bound gamma_ve the last pick must
+    complete the cover."""
     graphs = _random_graphs()
     verdicts = []
     bounded = []
@@ -242,13 +251,25 @@ def test_streamed_report_matches_reference_on_random_graphs():
         assert rep.to_json_dict() == reference.oracle_report(g).to_json_dict()
         assert is_well_ve_dominated(g) == rep.is_well_ve_dominated
         verdicts.append(rep.is_well_ve_dominated)
-        for bound in (1, 2, 3):
+        for bound in (0, 1, 2, 3, rep.gamma_ve):
             got = _report_or_error(oracle_report, g, bound)
             assert got == _report_or_error(reference.oracle_report, g, bound)
             bounded.append("error" if isinstance(got, str) else got["i_ve"] is None)
     assert max(g.n for g in graphs) == 14
     assert True in verdicts and False in verdicts
     assert {"error", True, False} <= set(bounded)
+
+
+def test_masks_match_reference():
+    """The library's dominated-edge and adjacency masks against the earlier
+    rule, which the reference searches build for themselves."""
+    graphs = [t for n in range(1, 11) for t in enumerate_free_trees(n)]
+    graphs += _random_graphs()
+    graphs += [Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)]) for n in range(1, 41)]
+    graphs += [sat_to_graph(f).graph for f in _GADGET_FORMULAS]
+    for g in graphs:
+        assert dominated_edge_masks(g) == reference.dominated_edge_masks(g)
+        assert adjacency_masks(g) == reference.adjacency_masks(g)
 
 
 def _assert_reduction_matches_reference(g):

@@ -1,5 +1,13 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
+
+import vedom
 
 from vedom import graph as graph_module
 from vedom.graph import (
@@ -86,6 +94,30 @@ class TestParsing:
         for text in ("n 2\n0 1\n", "n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n", "n 4\n"):
             g = parse_edge_list(text)
             assert serialize_edge_list(g) == text
+
+    @pytest.mark.parametrize("text", ["n 1000000000\n", "0 999999999\n"], ids=["count", "index"])
+    def test_order_over_the_limit_raises_before_the_build(self, text):
+        """In a child process with its address space capped at 1 GiB, so a
+        graph built in proportion to the order fails there and not here."""
+
+        def cap() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        code = (
+            "import sys\n"
+            "from vedom.graph import parse_edge_list\n"
+            "try:\n"
+            "    parse_edge_list(sys.argv[1])\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(vedom.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code, text],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap, env=env,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "ValueError 1000000000 vertices exceeds the limit of 1000000\n"
 
 
 @given(graphs())
