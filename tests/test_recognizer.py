@@ -190,6 +190,7 @@ class TestNoQuadraticWork:
         cert = build_certificate(t, p)
         monkeypatch.setattr(Graph, "has_edge", forbidden)
         monkeypatch.setattr(vedom.domination, "dominated_edge_masks", forbidden)
+        monkeypatch.setattr(vedom.domination, "_masks", forbidden)
         monkeypatch.setattr(vedom.recognizer, "dominated_edge_masks", forbidden, raising=False)
         assert t.n == 3000
         assert verify_certificate(t, cert).passed
