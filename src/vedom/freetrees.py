@@ -5,9 +5,13 @@ successor rule (start from the path sequence 1,2,...,n; repeatedly chop the
 last entry above 2 and tile the tail).  A rooted tree is kept exactly when
 its sequence equals the canonical sequence of the same tree re-rooted at its
 centroid, which picks one representative per free isomorphism class without
-storing anything.  Most candidates are decided on the sequence alone: the
-sizes of the root's child subtrees are the gaps between successive level-2
-entries, so the root is a centroid exactly when no gap exceeds n/2.
+storing anything.  Every candidate is decided on its sequence, as in Wright,
+Richmond, Odlyzko & McKay, "Constant time generation of free trees", SIAM J.
+Comput. 15(2) (1986): the sizes of the root's child subtrees are the gaps
+between successive level-2 entries, so the root is a centroid exactly when
+no gap exceeds n/2, and a gap of exactly n/2 gives the other centroid, at
+which the sequence is re-rooted block by block.  Only kept trees become
+graphs, built straight from their sequences.
 
 The canonical sequence doubles as a canonical form: two trees are isomorphic
 iff their centroid-rooted canonical sequences are equal.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graph import Graph, is_tree, traverse
+from .graph import Graph, has_tree_size, traverse
 
 MAX_ENUMERATION_ORDER = 18
 
@@ -30,68 +34,79 @@ FREE_TREE_COUNTS = (
 )
 
 
+def _sequences(n: int) -> Iterator[tuple[list[int], list[int], int]]:
+    """The successor rule on one list, rewritten in place after each yield,
+    as (seq, starts, big): starts are the level-2 indices, where the root's
+    child subtrees begin, and big is the largest subtree.  A step rewrites
+    only seq[p:], where a level-2 entry can only begin a copy of the block,
+    so the starts before p and their running maxima (lead) carry over."""
+    seq = list(range(1, n + 1))
+    starts, lead = [1], [0]
+    while True:
+        yield seq, starts, max(lead[-1], n - starts[-1])
+        p = n - 1
+        while p and seq[p] <= 2:
+            p -= 1
+        if p == 0:
+            return
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
+        while starts[-1] > p:
+            starts.pop()
+            lead.pop()
+        if seq[q] == 2:
+            for s in range(p, n, p - q):
+                lead.append(max(lead[-1], s - starts[-1]))
+                starts.append(s)
+        seq[p:] = (seq[q:p] * ((n - p) // (p - q) + 1))[: n - p]
+
+
 def rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Canonical level sequences of all rooted trees on n vertices,
     in decreasing lexicographic order (path first, star last)."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    seq = list(range(1, n + 1))
-    while True:
+    for seq, _, _ in _sequences(n):
         yield tuple(seq)
-        p = -1
-        for i in range(n - 1, -1, -1):
-            if seq[i] > 2:
-                p = i
-                break
-        if p < 0:
-            return
-        q = p - 1
-        while seq[q] != seq[p] - 1:
-            q -= 1
-        block = seq[q:p]
-        for i in range(p, n):
-            seq[i] = block[(i - p) % len(block)]
 
 
 def level_sequence_to_graph(seq: Iterable[int]) -> Graph:
     """Tree from a level sequence: each vertex attaches to the most recent
-    earlier vertex one level up."""
+    earlier vertex one level up.  A parent comes before its children, so
+    every adjacency list comes out sorted, and the graph needs no sorting
+    and no validation."""
     levels = list(seq)
     n = len(levels)
-    edges = []
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     last_at_level: dict[int, int] = {}
     for v, lvl in enumerate(levels):
         if v > 0:
-            edges.append((last_at_level[lvl - 1], v))
+            u = last_at_level[lvl - 1]
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         last_at_level[lvl] = v
-    return Graph.from_edges(n, edges)
+    edges = tuple((u, v) for u, vs in enumerate(nbrs) for v in vs if u < v)
+    return Graph(n, tuple(map(tuple, nbrs)), edges)
 
 
 def centroids(g: Graph) -> list[int]:
-    """The one or two vertices minimizing the largest component of g - v."""
-    if not is_tree(g):
-        raise ValueError("centroids are defined here for trees only")
+    """The one or two vertices minimizing the largest component of g - v.
+    One walk checks that g is a tree (n - 1 edges, every vertex reached)
+    and, children before parents, gives each subtree's size."""
     n = g.n
-    if n == 1:
-        return [0]
-    size = [1] * n
-    order, parent = traverse(g, 0)
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    best = n + 1
-    out: list[int] = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for u in g.adj[v]:
-            if parent[u] == v:
-                heaviest = max(heaviest, size[u])
-        if heaviest < best:
-            best = heaviest
-            out = [v]
-        elif heaviest == best:
-            out.append(v)
-    return sorted(out)
+    order, parent = traverse(g, 0) if has_tree_size(n, len(g.edges)) else ([], [])
+    if not 0 < len(order) == n:
+        raise ValueError("centroids are defined here for trees only")
+    size, heavy = [1] * n, [0] * n
+    for v in reversed(order[1:]):
+        u = parent[v]
+        size[u] += size[v]
+        if size[v] > heavy[u]:
+            heavy[u] = size[v]
+    worst = [max(n - s, h) for s, h in zip(size, heavy)]
+    best = min(worst)
+    return [v for v, w in enumerate(worst) if w == best]
 
 
 def canonical_rooted_sequence(g: Graph, root: int) -> tuple[int, ...]:
@@ -127,25 +142,34 @@ def trees_isomorphic(a: Graph, b: Graph) -> bool:
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
     """Every isomorphism class of trees on n vertices exactly once,
-    in the deterministic level-sequence order.
+    in the deterministic level-sequence order, each tree decided on its
+    level sequence and built from it.
 
-    With big the largest child subtree of the root (the largest gap between
-    successive level-2 entries): if 2*big < n the root is the only centroid
-    and the sequence is already canonical, so it is kept; if 2*big > n the
-    root is no centroid, and no automorphism maps it onto one, so it is
-    dropped.  Only with two centroids (2*big == n) is the graph built and
-    its canonical form compared."""
+    With big the largest child subtree of the root: if 2*big < n the root is
+    the only centroid and the sequence is already canonical, so it is kept;
+    if 2*big > n the root is no centroid, and no automorphism maps it onto
+    one, so it is dropped.  If 2*big == n the root of that subtree is the
+    other centroid, and the sequence is kept when it is at least the
+    canonical sequence rooted there, so it is the canonical form."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}")
-    for seq in rooted_level_sequences(n):
-        starts = [i for i, lvl in enumerate(seq) if lvl == 2] + [n]
-        big = max((b - a for a, b in zip(starts, starts[1:])), default=0)
-        if 2 * big < n:
+    for seq, starts, big in _sequences(n):
+        if 2 * big < n or 2 * big == n and seq >= _rerooted(seq, starts, n):
             yield level_sequence_to_graph(seq)
-        elif 2 * big == n:
-            g = level_sequence_to_graph(seq)
-            if canonical_form(g) == seq:
-                yield g
+
+
+def _rerooted(seq: list[int], starts: list[int], n: int) -> list[int]:
+    """The canonical sequence of seq's tree rooted at the root's child c
+    whose subtree has n/2 vertices: c's own child blocks one level up and
+    the rest of the tree, itself canonical, as one block one level down,
+    in decreasing order."""
+    a = next(a for a, b in zip(starts, starts[1:] + [n]) if 2 * (b - a) == n)
+    b = a + n // 2
+    cuts = [i for i in range(a + 1, b) if seq[i] == 3] + [b]
+    blocks = [[lvl - 1 for lvl in seq[i:j]] for i, j in zip(cuts, cuts[1:])]
+    blocks.append([lvl + 1 for lvl in seq[:a] + seq[b:]])
+    blocks.sort(reverse=True)
+    return [1] + [lvl for block in blocks for lvl in block]
 
 
 def pruefer_to_tree(n: int, seq: list[int]) -> Graph:

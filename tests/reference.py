@@ -4,8 +4,9 @@ Some are the library's earlier searches: the hand-rolled graph searches
 from before the shared ``vedom.graph.traverse`` helper (the forbidden-path
 search builds every leaf's path to every vertex, the canonical sequence
 recurses once per tree level), the free-tree generator that builds a graph
-for every rooted sequence, the per-vertex dominated-edge and adjacency
-masks built edge by edge and neighbour by neighbour, the oracle search that
+through ``Graph.from_edges`` for every rooted sequence of its own copy of
+the successor rule, the per-vertex dominated-edge and adjacency masks built
+edge by edge and neighbour by neighbour, the oracle search that
 generated every cover before filtering for minimality, the oracle report
 that sorted the minimal sets and tested each for independence afterwards,
 and the certificate check that counts dominators through per-vertex edge
@@ -15,8 +16,9 @@ two-pass edge-list parser, the reducedness test that grouped every
 neighbourhood class, and the unit partition built on vertex sets with a
 traversal for backbone connectivity.  The others are definitional oracles:
 the 2^n subset sweep, minimality by single-vertex removal, the truth-table
-satisfiability check and the labeled-tree enumeration.  They are slow but
-simple, so the tests compare the library against them.
+satisfiability check and the labeled-tree enumeration by textbook Pruefer
+decoding.  They are slow but simple, so the tests compare the library
+against them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Iterator
 
 from vedom.constructions import CnfInstance
 from vedom.domination import DominationReport, InstanceTooLargeError, is_ve_dominating
-from vedom.freetrees import level_sequence_to_graph, pruefer_to_tree, rooted_level_sequences
 from vedom.graph import (
     Graph,
     GraphFormatError,
@@ -230,6 +231,24 @@ def labeled_trees(n: int) -> Iterator[Graph]:
         seq[i] += 1
 
 
+def pruefer_to_tree(n: int, seq: list[int]) -> Graph:
+    """Textbook Pruefer decoding, n >= 2: join the smallest leaf to each
+    entry in turn, then join the last two leaves.  Decoding always gives a
+    tree on distinct (min, max) pairs, so the unchecked ``Graph._build``
+    builds it."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    pairs = []
+    for v in seq:
+        leaf = degree.index(1)
+        pairs.append((leaf, v) if leaf < v else (v, leaf))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    pairs.append(tuple(v for v in range(n) if degree[v] == 1))
+    return Graph._build(n, pairs)
+
+
 def find_forbidden_configuration(t: Graph) -> tuple[str, tuple[int, ...]] | None:
     """Lowest-rank forbidden leaf-to-leaf path, ties broken by the path."""
     if not is_tree(t):
@@ -334,6 +353,39 @@ def canonical_rooted_sequence(g: Graph, root: int) -> tuple[int, ...]:
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     return max(canonical_rooted_sequence(g, c) for c in centroids(g))
+
+
+def rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """The successor rule as the library first had it: find the last entry
+    above 2 by a scan from the end, and tile the tail entry by entry."""
+    seq = list(range(1, n + 1))
+    while True:
+        yield tuple(seq)
+        p = -1
+        for i in range(n - 1, -1, -1):
+            if seq[i] > 2:
+                p = i
+                break
+        if p < 0:
+            return
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
+        block = seq[q:p]
+        for i in range(p, n):
+            seq[i] = block[(i - p) % len(block)]
+
+
+def level_sequence_to_graph(seq: tuple[int, ...]) -> Graph:
+    """Each vertex joined to the most recent earlier vertex one level up,
+    built and validated through ``Graph.from_edges``."""
+    edges = []
+    last_at_level: dict[int, int] = {}
+    for v, lvl in enumerate(seq):
+        if v > 0:
+            edges.append((last_at_level[lvl - 1], v))
+        last_at_level[lvl] = v
+    return Graph.from_edges(len(seq), edges)
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:

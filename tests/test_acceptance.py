@@ -3,8 +3,9 @@
 Each test prints a single "ACCEPTANCE <n> (<name>): PASS/FAIL" line (run
 pytest with -s to see them live).  The shared sweep fixture enumerates every
 non-isomorphic tree up to 15 vertices once and records the recognizer result
-next to the exact oracle report; the last test reuses it to compare the
-recognizer's searches with the references in tests/reference.py.
+next to the exact oracle report; the last tests reuse it to compare the
+oracle's reports and the recognizer's searches with the references in
+tests/reference.py.
 """
 
 import itertools
@@ -260,6 +261,19 @@ def test_verdict_equals_report_on_sweep(tree_sweep):
         f"order {n} {t.edges}"
         for n, t, _, rep in records
         if is_well_ve_dominated(t) != rep.is_well_ve_dominated
+    ]
+    assert not failures, failures[:5]
+
+
+def test_sweep_reports_match_reference(tree_sweep):
+    """The sweep's full oracle reports, size multiset, extremes, independent
+    sizes and witnesses included, equal the earlier report that sorted the
+    minimal sets, on every tree up to order 11."""
+    records, _ = tree_sweep
+    failures = [
+        f"order {n} {t.edges}"
+        for n, t, _, rep in records
+        if n <= 11 and rep != reference.oracle_report(t)
     ]
     assert not failures, failures[:5]
 

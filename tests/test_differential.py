@@ -1,7 +1,9 @@
 """The library's searches against the earlier implementations in
 tests/reference.py: same refutation witness, same canonical sequence and
 same certificate, on every small free tree and on seeded random trees; the
-same free trees, labels and order included, as the earlier generator; the
+same rooted sequences and the same free trees, labels and order included,
+as the earlier generator, and on larger orders trees that are their own
+canonical forms, each class once; the
 same certificate check on arbitrary small graphs and vertex sets; and the
 same minimal ve-dominating sets, in the same order, as the oracle's earlier
 generate-then-filter search, on graphs past the 16-vertex cap of the
@@ -29,7 +31,13 @@ from vedom.domination import (
     is_well_ve_dominated,
     oracle_report,
 )
-from vedom.freetrees import canonical_form, enumerate_free_trees, pruefer_to_tree
+from vedom.freetrees import (
+    FREE_TREE_COUNTS,
+    canonical_form,
+    enumerate_free_trees,
+    pruefer_to_tree,
+    rooted_level_sequences,
+)
 from vedom.graph import Graph, GraphFormatError, _parse_edge_list, induced_delete, relabeled
 from vedom.recognizer import (
     Refutation,
@@ -90,8 +98,22 @@ def test_free_trees_up_to_order_11_match_reference():
 
 def test_free_trees_up_to_order_13_match_reference_generator():
     for n in range(1, 14):
-        expected = [t.edges for t in reference.enumerate_free_trees(n)]
-        assert [t.edges for t in enumerate_free_trees(n)] == expected
+        assert list(rooted_level_sequences(n)) == list(reference.rooted_level_sequences(n))
+        assert list(enumerate_free_trees(n)) == list(reference.enumerate_free_trees(n))
+
+
+def test_free_trees_of_orders_14_to_16_are_their_canonical_forms():
+    """Past the reference generator's orders: each tree's canonical form
+    is strictly below the one before it, so no class repeats, the tree is
+    the graph built from that form, and the counts are the known ones."""
+    for n in range(14, 17):
+        forms = []
+        for t in enumerate_free_trees(n):
+            form = reference.canonical_form(t)
+            assert not forms or form < forms[-1]
+            assert t == reference.level_sequence_to_graph(form)
+            forms.append(form)
+        assert len(forms) == FREE_TREE_COUNTS[n - 1]
 
 
 def test_seeded_random_trees_match_reference():

@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
 
 from vedom.freetrees import (
     FREE_TREE_COUNTS,
+    _rerooted,
+    _sequences,
     canonical_form,
     canonical_rooted_sequence,
+    centroids,
     enumerate_free_trees,
     level_sequence_to_graph,
     pruefer_to_tree,
@@ -13,6 +18,7 @@ from vedom.freetrees import (
 from vedom.constructions import path_graph
 from vedom.graph import Graph, is_tree, relabeled
 
+from tests import reference
 from tests.reference import labeled_trees
 
 ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
@@ -41,6 +47,30 @@ class TestRootedSequences:
             for seq in rooted_level_sequences(n):
                 g = level_sequence_to_graph(seq)
                 assert canonical_rooted_sequence(g, 0) == seq
+
+    def test_carried_starts_and_the_two_centroid_rule(self):
+        """The starts and largest subtree carried across successor steps
+        equal those read off each sequence afresh; with two centroids the
+        re-rooted sequence is the canonical sequence at the other centroid,
+        and the sequence is kept exactly when it is the canonical form."""
+        two_centroid = 0
+        for n in range(2, 15):
+            for seq, starts, big in _sequences(n):
+                ends = [i for i, lvl in enumerate(seq) if lvl == 2] + [n]
+                assert starts == ends[:-1]
+                gaps = {a: b - a for a, b in zip(ends, ends[1:])}
+                assert big == max(gaps.values())
+                if 2 * big != n:
+                    continue
+                two_centroid += 1
+                g = level_sequence_to_graph(seq)
+                other = next(a for a, gap in gaps.items() if 2 * gap == n)
+                assert centroids(g) == [0, other]
+                rerooted = _rerooted(seq, starts, n)
+                assert tuple(rerooted) == canonical_rooted_sequence(g, other)
+                assert (seq >= rerooted) == (canonical_form(g) == tuple(seq))
+        # a subtree of n/2 vertices joined to a root with n/2 - 1 more below it
+        assert two_centroid == sum(ROOTED_TREE_COUNTS[k] ** 2 for k in range(1, 8))
 
 
 class TestFreeTreeEnumeration:
@@ -120,3 +150,9 @@ def test_labeled_tree_counts():
     # Cayley: n^(n-2) labeled trees
     assert sum(1 for _ in labeled_trees(4)) == 16
     assert sum(1 for _ in labeled_trees(5)) == 125
+
+
+def test_pruefer_decoding_matches_reference():
+    for n in range(3, 7):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            assert pruefer_to_tree(n, list(seq)) == reference.pruefer_to_tree(n, list(seq))
