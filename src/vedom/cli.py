@@ -9,6 +9,7 @@ enumerate.  Exit codes: 0 success, 1 a checked property was violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import chain, starmap
@@ -292,7 +293,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser shared by every call in this process, built on first
+    use.  Callers must not mutate it; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
     oracle = argparse.ArgumentParser(add_help=False)  # read by analyze, recognize --verify

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import Graph, bit_list, iter_bits
+from .graph import Graph, bit_list, iter_bits, mask_from
 
 FULL_MODE_GUARD = 24
 SIZE_BOUNDED_VERTEX_GUARD = 40
@@ -59,10 +59,11 @@ def adjacency_masks(g: Graph) -> list[int]:
 
 
 def ve_dominated_edges(g: Graph, v: int) -> int:
-    """Edge mask ve-dominated by the single vertex v."""
+    """Edge mask ve-dominated by the single vertex v: the edges at N[v]."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return dominated_edge_masks(g)[v]
+    closed = {v, *g.adj[v]}
+    return mask_from(idx for idx, (a, b) in enumerate(g.edges) if a in closed or b in closed)
 
 
 def _coverage(g: Graph, s: int) -> tuple[list[int], int, int]:

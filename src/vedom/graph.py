@@ -287,10 +287,3 @@ def _renamed(g: Graph, keep: list[int]) -> Graph:
         tuple([tuple([new[u] for u in g.adj[v] if new[u] >= 0]) for v in keep]),
         tuple([(new[u], new[v]) for u, v in g.edges if new[u] >= 0 and new[v] >= 0]),
     )
-
-
-def relabeled(g: Graph, perm: list[int]) -> Graph:
-    """Copy of g with vertex i renamed perm[i]; perm must be a permutation."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("not a permutation of the vertex range")
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])

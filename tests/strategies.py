@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and the relabelling helper shared by the test modules."""
 
 from __future__ import annotations
 
@@ -34,3 +34,10 @@ def trees(draw, min_n: int = 1, max_n: int = 10) -> Graph:
 @st.composite
 def permutations_of(draw, n: int) -> list[int]:
     return draw(st.permutations(list(range(n))))
+
+
+def relabeled(g: Graph, perm: list[int]) -> Graph:
+    """Copy of g with vertex i renamed perm[i]; perm must be a permutation."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("not a permutation of the vertex range")
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])

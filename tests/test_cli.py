@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -324,6 +325,81 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    """main builds its parser on the first call and reuses it; every later
+    call must behave as it would with a freshly built parser."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def _alone(self, argv, capsys):
+        cli.build_parser.cache_clear()
+        return self._run(argv, capsys)
+
+    def test_a_sequence_of_calls_matches_each_call_alone(self, p6_file, p7_file, tmp_path, capsys):
+        cnf = tmp_path / "fig.cnf"
+        cnf.write_text(FIG_CNF)
+        sequence = [
+            ["recognize", p7_file, "--json"],
+            ["recognize", p7_file],
+            ["analyze", p6_file, "--max-vertices", "5"],
+            ["analyze", p6_file],
+            ["recognize", p6_file, "--verify"],
+            ["reduce", p6_file, "--json"],
+            ["from-cnf", str(cnf), "--decide"],
+            ["enumerate"],
+            ["enumerate", "--max-n", "5"],
+            ["recognize", "--help"],
+            ["recognize", p7_file, "--json"],
+        ]
+        together = [self._run(argv, capsys) for argv in sequence]
+        assert together == [self._alone(argv, capsys) for argv in sequence]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["frobnicate"], ["enumerate", "--lemmas"], ["--help"], ["analyze", "--help"]],
+        ids=["unknown-subcommand", "missing-max-n", "help", "subcommand-help"],
+    )
+    def test_a_usage_exit_leaves_the_next_call_unchanged(self, bad, p6_file, capsys):
+        argv = ["analyze", p6_file, "--json"]
+        first = self._run(argv, capsys)
+        code, _, _ = self._run(bad, capsys)
+        assert code in (0, 2)
+        assert self._run(argv, capsys) == first
+
+    def test_a_patched_library_name_takes_effect_after_an_earlier_call(
+        self, p7_file, monkeypatch, capsys
+    ):
+        def patched(t):
+            raise ValueError("patched recognize")
+
+        assert main(["recognize", p7_file]) == 0
+        monkeypatch.setattr(cli, "recognize", patched)
+        assert main(["recognize", p7_file]) == 2
+        assert capsys.readouterr().err == "error: patched recognize\n"
+
+    def test_twenty_calls_build_at_most_one_parser(self, p6_file, p7_file, monkeypatch, capsys):
+        """One parser is ten ArgumentParsers: the top-level one, seven
+        subcommands and two parents.  Counted, not timed."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in [["recognize", p7_file, "--json"], ["analyze", p6_file]] * 10:
+            main(argv)
+        assert len(built) <= 10
 
 
 _json_scalars = st.one_of(

@@ -38,7 +38,7 @@ from vedom.freetrees import (
     pruefer_to_tree,
     rooted_level_sequences,
 )
-from vedom.graph import Graph, GraphFormatError, _parse_edge_list, induced_delete, relabeled
+from vedom.graph import Graph, GraphFormatError, _parse_edge_list, induced_delete
 from vedom.recognizer import (
     Refutation,
     find_forbidden_configuration,
@@ -49,7 +49,7 @@ from vedom.recognizer import (
 from vedom.reduction import is_reduced, reduce_graph
 
 from tests import reference
-from tests.strategies import graphs, permutations_of
+from tests.strategies import graphs, permutations_of, relabeled
 
 
 def _random_tree(rng: random.Random, lo: int, hi: int):

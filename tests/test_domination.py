@@ -18,10 +18,10 @@ from vedom.domination import (
     ve_dominated_edges,
 )
 from vedom.freetrees import enumerate_free_trees
-from vedom.graph import Graph, bit_list, connected_components, induced_delete, mask_from, relabeled
+from vedom.graph import Graph, bit_list, connected_components, induced_delete, mask_from
 
 from tests.reference import is_minimal_by_removal, minimal_sets_by_exhaustion
-from tests.strategies import graphs, trees
+from tests.strategies import graphs, relabeled, trees
 
 
 def path(n):
@@ -54,6 +54,10 @@ class TestDominatedEdges:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ve_dominated_edges(path(2), 5)
+
+    @given(graphs())
+    def test_matches_the_mask_table(self, g):
+        assert [ve_dominated_edges(g, v) for v in range(g.n)] == dominated_edge_masks(g)
 
 
 class TestIsVeDominating:

@@ -16,10 +16,11 @@ from vedom.freetrees import (
     trees_isomorphic,
 )
 from vedom.constructions import path_graph
-from vedom.graph import Graph, is_tree, relabeled
+from vedom.graph import Graph, is_tree
 
 from tests import reference
 from tests.reference import labeled_trees
+from tests.strategies import relabeled
 
 ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
 

@@ -22,13 +22,12 @@ from vedom.graph import (
     is_tree,
     mask_from,
     parse_edge_list,
-    relabeled,
     require_tree,
     serialize_edge_list,
     traverse,
 )
 
-from tests.strategies import graphs
+from tests.strategies import graphs, relabeled
 
 
 def path(n):
@@ -288,6 +287,11 @@ def test_relabeled_preserves_degrees(g):
     assert sorted(g.degree(v) for v in range(g.n)) == sorted(
         h.degree(v) for v in range(h.n)
     )
+
+
+def test_relabeled_rejects_a_non_permutation():
+    with pytest.raises(ValueError):
+        relabeled(Graph.from_edges(3, [(0, 1), (1, 2)]), [0, 1, 1])
 
 
 def test_bit_helpers():
