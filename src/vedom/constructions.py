@@ -218,7 +218,10 @@ def sat_decide_via_graph(f: CnfInstance) -> bool:
             return covered == full
         return any(search(i + 1, covered | mask) for mask in choice_masks[i])
 
-    return search(0, 0)
+    try:
+        return search(0, 0)
+    finally:
+        del search  # search refers to itself through its closure cell: break that cycle
 
 
 def expand_backbone(r: Graph) -> tuple[Graph, UnitPartition]:

@@ -177,8 +177,11 @@ def _search(
             banned |= bit
         return False
 
-    if bound:
-        search(0, 0, 0, (), True)
+    try:
+        if bound:
+            search(0, 0, 0, (), True)
+    finally:
+        del search  # search refers to itself through its closure cell: break that cycle
 
 
 def enumerate_minimal_ve_dominating_sets(

@@ -81,10 +81,14 @@ class Graph:
 
     @staticmethod
     def _build(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Unchecked: the distinct (min, max) pairs were validated already.
-        In canonical edge order the edges (u, v) with u < v come before the
-        edges (v, w), so appending leaves every adjacency list sorted."""
-        canon = tuple(sorted(pairs))
+        """Unchecked: the distinct (min, max) pairs were validated already."""
+        return Graph._from_canonical(n, tuple(sorted(pairs)))
+
+    @staticmethod
+    def _from_canonical(n: int, canon: tuple[tuple[int, int], ...]) -> "Graph":
+        """Unchecked: canon holds valid (min, max) pairs in canonical order.
+        In that order the edges (u, v) with u < v come before the edges
+        (v, w), so appending leaves every adjacency list sorted."""
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in canon:
             nbrs[u].append(v)
@@ -272,18 +276,16 @@ def induced_delete(g: Graph, removed: int) -> tuple[Graph, dict[int, int]]:
     surviving vertices, which keep their relative order.
     """
     keep = [v for v, digit in enumerate(f"{removed:0{g.n}b}"[::-1][:g.n]) if digit == "0"]
-    return _renamed(g, keep), {old: new for new, old in enumerate(keep)}
+    return _induced(g, keep)[0], {old: new for new, old in enumerate(keep)}
 
 
-def _renamed(g: Graph, keep: list[int]) -> Graph:
-    """The subgraph induced on the increasing list keep, keep[i] renamed i:
-    the renaming preserves order, so g's canonical edge order and sorted
-    adjacency lists carry over without a sort or a check."""
+def _induced(g: Graph, keep: list[int]) -> tuple[Graph, list[int]]:
+    """The subgraph induced on the increasing list keep, keep[i] renamed i,
+    and the renaming: new[v] is v's index in keep, -1 for a vertex outside
+    it.  Renaming in order keeps g's canonical edge order, so the kept
+    edges need no sort and no check."""
     new = [-1] * g.n
     for i, v in enumerate(keep):
         new[v] = i
-    return Graph(
-        len(keep),
-        tuple([tuple([new[u] for u in g.adj[v] if new[u] >= 0]) for v in keep]),
-        tuple([(new[u], new[v]) for u, v in g.edges if new[u] >= 0 and new[v] >= 0]),
-    )
+    edges = tuple([(new[u], new[v]) for u, v in g.edges if new[u] >= 0 and new[v] >= 0])
+    return Graph._from_canonical(len(keep), edges), new

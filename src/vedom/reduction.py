@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, _renamed
+from .graph import Graph, _induced
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,12 @@ def reduce_graph(g: Graph) -> ReductionMap:
     first: dict[tuple[int, ...], int] = {}  # open neighbourhood -> minimum member
     rep = list(map(first.setdefault, g.adj, range(g.n)))
     reps = list(first.values())
-    to_reduced = tuple(map(dict(zip(reps, range(g.n))).__getitem__, rep))
+    # with no collapse rep is the identity, which renames nothing
+    reduced, new = (g, rep) if len(reps) == g.n else _induced(g, reps)
+    to_reduced = tuple(map(new.__getitem__, rep))
     return ReductionMap(
         class_of=to_reduced,
         representatives=tuple(reps),
-        reduced_graph=g if len(reps) == g.n else _renamed(g, reps),
+        reduced_graph=reduced,
         to_reduced=to_reduced,
     )

@@ -1,6 +1,8 @@
 import argparse
+import gc
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -400,6 +402,114 @@ class TestSharedParser:
         for argv in [["recognize", p7_file, "--json"], ["analyze", p6_file]] * 10:
             main(argv)
         assert len(built) <= 10
+
+
+
+@pytest.fixture
+def collector():
+    """Leaves the cyclic collector's enabled state as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """main runs each subcommand with the cyclic collector paused, which is
+    safe only because no call leaves a reference cycle behind."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{p6}", "--json"],
+            ["analyze", "{p7}"],
+            ["recognize", "{p6}", "--verify"],
+            ["recognize", "{p7}", "--verify", "--json"],
+            ["reduce", "{p7}", "--json"],
+            ["expand", "{p6}"],
+            ["decompose", "{p6}", "--json"],
+            ["decompose", "{p7}"],
+            ["from-cnf", "{cnf}", "--decide"],
+            ["from-cnf", "{unsat}", "--decide", "--json"],
+            ["enumerate", "--max-n", "8", "--lemmas"],
+            ["analyze", "{bad}"],
+            ["recognize", "{missing}"],
+            ["enumerate", "--max-n", "99"],
+        ],
+        ids=lambda argv: " ".join(a.strip("{}") for a in argv),
+    )
+    def test_each_call_leaves_no_reference_cycle(self, argv, p6_file, p7_file, tmp_path, collector, capsys):
+        paths = {
+            "p6": p6_file,
+            "p7": p7_file,
+            "cnf": tmp_path / "fig.cnf",
+            "unsat": tmp_path / "unsat.cnf",
+            "bad": tmp_path / "bad.el",
+            "missing": tmp_path / "missing.el",
+        }
+        paths["cnf"].write_text(FIG_CNF)
+        paths["unsat"].write_text(UNSAT_CNF)
+        paths["bad"].write_text("0 1\nx y\n")
+        argv = [a.format(**paths) for a in argv]
+        main(argv)  # warm-up: the first call of a process builds the shared parser
+        gc.disable()
+        gc.collect()
+        main(argv)
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", [0, 1, 2, "raises", "usage"])
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, enabled, outcome, p6_file, p7_file, monkeypatch, collector, capsys
+    ):
+        seen = []
+
+        def paused_recognize(t):
+            seen.append(gc.isenabled())
+            if outcome == "raises":
+                raise RuntimeError("patched recognize")
+            return recognize(t)
+
+        monkeypatch.setattr(cli, "recognize", paused_recognize)
+        # an oracle that accepts everything disagrees on P7, for exit 1
+        monkeypatch.setattr(cli, "is_well_ve_dominated", lambda t, guard: True)
+        argv = {
+            0: ["recognize", p6_file, "--verify"],
+            1: ["recognize", p7_file, "--verify"],
+            2: ["recognize", p6_file + ".missing"],
+            "raises": ["recognize", p6_file],
+            "usage": ["recognize", p6_file, "--frobnicate"],
+        }[outcome]
+        (gc.enable if enabled else gc.disable)()
+        if outcome in ("raises", "usage"):
+            with pytest.raises(RuntimeError if outcome == "raises" else SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == outcome
+        assert gc.isenabled() is enabled
+        assert seen == ([False] if outcome in (0, 1, "raises") else [])
+
+    def test_a_large_recognize_runs_no_collection(self, tmp_path, collector, capsys):
+        """Counted, not timed: at 31,668 vertices the collector would
+        otherwise run hundreds of collections during the call."""
+        rng = random.Random(13)
+        k = 10_556
+        backbone = pruefer_to_tree(k, [rng.randrange(k) for _ in range(k - 2)])
+        f = tmp_path / "expansion.el"
+        f.write_text(serialize_edge_list(expand_backbone(backbone)[0]))
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            assert main(["recognize", str(f), "--json"]) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == []
+        assert json.loads(capsys.readouterr().out)["verdict"] == "yes"
 
 
 _json_scalars = st.one_of(

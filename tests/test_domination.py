@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -17,8 +18,10 @@ from vedom.domination import (
     private_edges,
     ve_dominated_edges,
 )
+from vedom.constructions import CnfInstance, sat_decide_via_graph, sat_to_graph
 from vedom.freetrees import enumerate_free_trees
 from vedom.graph import Graph, bit_list, connected_components, induced_delete, mask_from
+from vedom.harness import lemma_suite
 
 from tests.reference import is_minimal_by_removal, minimal_sets_by_exhaustion
 from tests.strategies import graphs, relabeled, trees
@@ -297,3 +300,43 @@ def test_independence_helper():
     g = path(4)
     adj = adjacency_masks(g)
     assert adj[1] == mask_from([0, 2])
+
+
+FIGURE_CNF = CnfInstance(4, ((1, 2, -3), (-1, 3, 4), (-2, -3, -4)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle_report(path(10)),
+        lambda: oracle_report(sat_to_graph(FIGURE_CNF).graph, size_bound=8),
+        lambda: is_well_ve_dominated(path(10)),
+        lambda: is_well_ve_dominated(path(7)),
+        lambda: enumerate_minimal_ve_dominating_sets(star(4)),
+        lambda: sat_decide_via_graph(FIGURE_CNF),
+        lambda: lemma_suite(8),
+    ],
+    ids=[
+        "oracle_report",
+        "oracle_report-bounded",
+        "is_well_ve_dominated-yes",
+        "is_well_ve_dominated-no",
+        "enumerate_minimal_ve_dominating_sets",
+        "sat_decide_via_graph",
+        "lemma_suite",
+    ],
+)
+def test_oracle_calls_leave_no_reference_cycle(call):
+    """The CLI pauses the cyclic collector around each call, and tests and
+    the benchmark call these outside it, so no call may leave a cycle for
+    the collector to find."""
+    was_enabled = gc.isenabled()
+    call()  # warm-up
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
