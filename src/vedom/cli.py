@@ -37,8 +37,8 @@ from .graph import (
     NotATreeError,
     _parse_edge_list,
     bit_list,
-    check_order,
     has_tree_size,
+    parse_edge_list,
     serialize_edge_list,
 )
 from .harness import ORACLE_SWEEP_MAX, cross_validate, lemma_suite
@@ -187,12 +187,10 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    n, edges = _read_edges(args.graph)
-    check_order(n)  # before the graph is built
-    g = Graph._build(n, edges)
-    rmap = reduce_graph(g)
+    with open(args.graph, "r", encoding="utf-8") as handle:
+        rmap = reduce_graph(parse_edge_list(handle.read()))
     representative = {
-        str(v): rmap.representatives[rmap.class_of[v]] for v in range(g.n)
+        str(v): rmap.representatives[r] for v, r in enumerate(rmap.to_reduced)
     }
     if args.json:
         _emit_json(

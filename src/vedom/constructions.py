@@ -147,10 +147,12 @@ def sat_to_graph(f: CnfInstance) -> SatReductionMap:
     vertices forming a clique, and an apex adjacent to every clause vertex.
 
     The output has 6n + m + 1 vertices and 5n + 3m + m(m-1)/2 + m edges and
-    is deterministic in the instance.
+    is deterministic in the instance.  Either count is checked against
+    graph.MAX_VERTICES before the gadget is built.
     """
     n, m = f.variable_count, len(f.clauses)
-    check_order(6 * n + m + 1)  # before the gadget is built
+    check_order(6 * n + m + 1)
+    check_order(5 * n + 4 * m + m * (m - 1) // 2, "gadget edges")
     x = tuple(6 * i for i in range(n))
     y = tuple(6 * i + 1 for i in range(n))
     u = tuple(6 * i + 2 for i in range(n))

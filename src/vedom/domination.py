@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import Graph, bit_list, iter_bits, mask_from
+from .graph import Graph, bit_list, mask_from
 
 FULL_MODE_GUARD = 24
 SIZE_BOUNDED_VERTEX_GUARD = 40
@@ -53,11 +53,6 @@ def dominated_edge_masks(g: Graph) -> list[int]:
     return _masks(g)[1]
 
 
-def adjacency_masks(g: Graph) -> list[int]:
-    """Open-neighborhood bitmask per vertex."""
-    return [c & ~(1 << v) for v, c in enumerate(_masks(g)[0])]
-
-
 def ve_dominated_edges(g: Graph, v: int) -> int:
     """Edge mask ve-dominated by the single vertex v: the edges at N[v]."""
     if not 0 <= v < g.n:
@@ -71,7 +66,7 @@ def _coverage(g: Graph, s: int) -> tuple[list[int], int, int]:
     by at least two members of s, tallied in one pass over the members."""
     masks = _masks(g)[1]
     once = twice = 0
-    for v in iter_bits(s):
+    for v in bit_list(s):
         twice |= once & masks[v]
         once |= masks[v]
     return masks, once, twice
@@ -99,7 +94,7 @@ def is_minimal_ve_dominating(g: Graph, s: int) -> bool:
     masks, once, twice = _coverage(g, s)
     if once != (1 << len(g.edges)) - 1:
         return False
-    return all(masks[v] & ~twice for v in iter_bits(s))
+    return all(masks[v] & ~twice for v in bit_list(s))
 
 
 def _check_guard(n: int, size_bound: int | None, guard: int) -> None:
@@ -195,7 +190,7 @@ def enumerate_minimal_ve_dominating_sets(
     """
     minimal: list[int] = []
     _search(g, size_bound, guard, lambda s, _: minimal.append(s))
-    minimal.sort(key=lambda s: (s.bit_count(), list(iter_bits(s))))
+    minimal.sort(key=lambda s: (s.bit_count(), bit_list(s)))
     return minimal
 
 

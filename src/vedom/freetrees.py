@@ -74,20 +74,16 @@ def rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
 def level_sequence_to_graph(seq: Iterable[int]) -> Graph:
     """Tree from a level sequence: each vertex attaches to the most recent
     earlier vertex one level up.  A parent comes before its children, so
-    every adjacency list comes out sorted, and the graph needs no sorting
-    and no validation."""
+    every (parent, child) pair is a valid (min, max) pair and the graph
+    needs no validation."""
     levels = list(seq)
-    n = len(levels)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
+    pairs = []
     last_at_level: dict[int, int] = {}
     for v, lvl in enumerate(levels):
         if v > 0:
-            u = last_at_level[lvl - 1]
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+            pairs.append((last_at_level[lvl - 1], v))
         last_at_level[lvl] = v
-    edges = tuple((u, v) for u, vs in enumerate(nbrs) for v in vs if u < v)
-    return Graph(n, tuple(map(tuple, nbrs)), edges)
+    return Graph._build(len(levels), pairs)
 
 
 def centroids(g: Graph) -> list[int]:

@@ -10,21 +10,22 @@ unions word-parallel in the subset-search inner loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class GraphFormatError(ValueError):
     """Raised when an edge-list document cannot be parsed."""
 
 
-MAX_VERTICES = 10**6  # the largest order a count declared in a file may ask for
+MAX_VERTICES = 10**6  # the largest order (or gadget edge count) a file may ask for
 
 
-def check_order(n: int) -> None:
-    """Raise ValueError when n exceeds MAX_VERTICES, so a declared count is
-    checked before anything is allocated in proportion to it."""
+def check_order(n: int, what: str = "vertices") -> None:
+    """Raise ValueError when a count of ``what`` exceeds MAX_VERTICES, so a
+    count a file asks for is checked before anything is allocated in
+    proportion to it."""
     if n > MAX_VERTICES:
-        raise ValueError(f"{n} vertices exceeds the limit of {MAX_VERTICES}")
+        raise ValueError(f"{n} {what} exceeds the limit of {MAX_VERTICES}")
 
 
 def mask_from(indices: Iterable[int]) -> int:
@@ -35,18 +36,9 @@ def mask_from(indices: Iterable[int]) -> int:
     return m
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit indices of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def bit_list(mask: int) -> list[int]:
     """The set bit indices of ``mask`` in increasing order, read off its
-    binary digits in time linear in its length (``iter_bits`` does big-int
-    work of that length per member, so prefer it only for small masks)."""
+    binary digits in time linear in its length."""
     return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
@@ -98,15 +90,8 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def closed_neighborhood(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adj[v] + (v,)))
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def edge_ids(self) -> dict[tuple[int, int], int]:
-        """Map each canonical (u, v) pair to its edge index."""
-        return {e: i for i, e in enumerate(self.edges)}
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -228,10 +213,6 @@ def connected_components(g: Graph) -> list[int]:
     return [mask_from(_reach(g, start, None, seen)) for start in range(g.n) if not seen[start]]
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n > 0 and len(traverse(g, 0)[0]) == g.n
-
-
 class NotATreeError(ValueError):
     """Raised when an operation defined only on trees gets another graph."""
 
@@ -248,7 +229,7 @@ def has_tree_size(n: int, edge_count: int) -> bool:
 
 def is_tree(g: Graph) -> bool:
     """Connected with exactly n-1 edges; the empty graph is not a tree."""
-    return has_tree_size(g.n, len(g.edges)) and is_connected(g)
+    return has_tree_size(g.n, len(g.edges)) and len(traverse(g, 0)[0]) == g.n
 
 
 def require_tree(g: Graph, task: str) -> None:

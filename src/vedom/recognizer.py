@@ -341,47 +341,20 @@ def recognize(t: Graph) -> RecognitionResult:
     require_tree(t, RECOGNITION)
     red = reduce_graph(t)
     t2 = red.reduced_graph
-
-    def rejected(structural: Refutation) -> RecognitionResult:
-        found = find_forbidden_configuration(t2)
-        refutation = (
-            Refutation(f"forbidden-path({found[0]})", found[1]) if found else structural
-        )
-        return RecognitionResult(
-            verdict=False,
-            case="rejected",
-            reduced_tree=t2,
-            to_reduced=red.to_reduced,
-            partition=None,
-            certificate=None,
-            refutation=refutation,
-        )
-
+    case, partition, certificate, refutation = "rejected", None, None, None
     if t2.n <= 2:
-        return RecognitionResult(
-            verdict=True,
-            case="T1",
-            reduced_tree=t2,
-            to_reduced=red.to_reduced,
-            partition=None,
-            certificate=None,
-            refutation=None,
-        )
-    if t2.n < 6 or t2.n % 3 != 0:
-        return rejected(Refutation("order-not-3n", (t2.n,)))
-    part = unit_partition(t2)
-    if isinstance(part, Refutation):
-        return rejected(part)
-    cert = build_certificate(t2, part)
-    if not verify_certificate(t2, cert).passed:
+        case = "T1"
+    elif t2.n < 6 or t2.n % 3 != 0:
+        refutation = Refutation("order-not-3n", (t2.n,))
+    elif isinstance(part := unit_partition(t2), Refutation):
+        refutation = part
+    elif not verify_certificate(t2, cert := build_certificate(t2, part)).passed:
         # unreachable for a valid partition; kept as a safety net
-        return rejected(Refutation("certificate", tuple(bit_list(cert))))
+        refutation = Refutation("certificate", tuple(bit_list(cert)))
+    else:
+        case, partition, certificate = "T2", part, cert
+    if refutation is not None and (found := find_forbidden_configuration(t2)):
+        refutation = Refutation(f"forbidden-path({found[0]})", found[1])
     return RecognitionResult(
-        verdict=True,
-        case="T2",
-        reduced_tree=t2,
-        to_reduced=red.to_reduced,
-        partition=part,
-        certificate=cert,
-        refutation=None,
+        refutation is None, case, t2, red.to_reduced, partition, certificate, refutation
     )

@@ -18,10 +18,9 @@ from .graph import Graph, _induced
 class ReductionMap:
     """Result of collapsing neighborhood classes to one representative each."""
 
-    class_of: tuple[int, ...]          # vertex -> class index
     representatives: tuple[int, ...]   # class index -> chosen original vertex
     reduced_graph: Graph
-    to_reduced: tuple[int, ...]        # original vertex -> reduced index
+    to_reduced: tuple[int, ...]        # original vertex -> reduced index = class index
 
 
 def neighborhood_classes(g: Graph) -> list[list[int]]:
@@ -50,10 +49,8 @@ def reduce_graph(g: Graph) -> ReductionMap:
     reps = list(first.values())
     # with no collapse rep is the identity, which renames nothing
     reduced, new = (g, rep) if len(reps) == g.n else _induced(g, reps)
-    to_reduced = tuple(map(new.__getitem__, rep))
     return ReductionMap(
-        class_of=to_reduced,
         representatives=tuple(reps),
         reduced_graph=reduced,
-        to_reduced=to_reduced,
+        to_reduced=tuple(map(new.__getitem__, rep)),
     )

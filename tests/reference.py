@@ -13,12 +13,13 @@ and the certificate check that counts dominators through per-vertex edge
 masks and tests independence pair by pair, the reduction that deleted every
 non-representative and rebuilt the rest through ``Graph.from_edges``, the
 two-pass edge-list parser, the reducedness test that grouped every
-neighbourhood class, and the unit partition built on vertex sets with a
-traversal for backbone connectivity.  The others are definitional oracles:
-the 2^n subset sweep, minimality by single-vertex removal, the truth-table
-satisfiability check and the labeled-tree enumeration by textbook Pruefer
-decoding.  They are slow but simple, so the tests compare the library
-against them.
+neighbourhood class, the unit partition built on vertex sets with a
+traversal for backbone connectivity, and the recognizer that built its
+result in three places from the library's own stages.  The others are
+definitional oracles: the 2^n subset sweep, minimality by single-vertex
+removal, the truth-table satisfiability check and the labeled-tree
+enumeration by textbook Pruefer decoding.  They are slow but simple, so the
+tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from vedom.graph import (
     bit_list,
     good_pendant_edges,
     is_tree,
-    iter_bits,
     mask_from,
     require_tree,
     traverse,
@@ -48,7 +48,16 @@ from vedom.recognizer import (
     Refutation,
     UnitPartition,
 )
+from vedom import recognizer, reduction
 from vedom.reduction import ReductionMap
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Yield the set bit indices of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def dominated_edge_masks(g: Graph) -> list[int]:
@@ -473,7 +482,6 @@ def reduce_graph(g: Graph) -> ReductionMap:
     reduced, remap = induced_delete(g, removed)
     to_reduced = tuple(remap[reps[class_of[v]]] for v in range(g.n))
     return ReductionMap(
-        class_of=tuple(class_of),
         representatives=tuple(reps),
         reduced_graph=reduced,
         to_reduced=to_reduced,
@@ -593,3 +601,54 @@ def unit_partition(t: Graph) -> UnitPartition | Refutation:
         label[leaf] = LABEL_LEAF
         label[s] = LABEL_SUPPORT
     return UnitPartition(tuple(units), tuple(label), backbone_edges)
+
+
+def recognize(t: Graph) -> recognizer.RecognitionResult:
+    """The library's earlier ``recognize``: a closure builds each rejection,
+    and each verdict returns its own result, from the library's stages."""
+    require_tree(t, recognizer.RECOGNITION)
+    red = reduction.reduce_graph(t)
+    t2 = red.reduced_graph
+
+    def rejected(structural: Refutation) -> recognizer.RecognitionResult:
+        found = recognizer.find_forbidden_configuration(t2)
+        refutation = (
+            Refutation(f"forbidden-path({found[0]})", found[1]) if found else structural
+        )
+        return recognizer.RecognitionResult(
+            verdict=False,
+            case="rejected",
+            reduced_tree=t2,
+            to_reduced=red.to_reduced,
+            partition=None,
+            certificate=None,
+            refutation=refutation,
+        )
+
+    if t2.n <= 2:
+        return recognizer.RecognitionResult(
+            verdict=True,
+            case="T1",
+            reduced_tree=t2,
+            to_reduced=red.to_reduced,
+            partition=None,
+            certificate=None,
+            refutation=None,
+        )
+    if t2.n < 6 or t2.n % 3 != 0:
+        return rejected(Refutation("order-not-3n", (t2.n,)))
+    part = recognizer.unit_partition(t2)
+    if isinstance(part, Refutation):
+        return rejected(part)
+    cert = recognizer.build_certificate(t2, part)
+    if not recognizer.verify_certificate(t2, cert).passed:
+        return rejected(Refutation("certificate", tuple(bit_list(cert))))
+    return recognizer.RecognitionResult(
+        verdict=True,
+        case="T2",
+        reduced_tree=t2,
+        to_reduced=red.to_reduced,
+        partition=part,
+        certificate=cert,
+        refutation=None,
+    )

@@ -23,7 +23,6 @@ from vedom.constructions import (
     unit_cut_extend,
 )
 from vedom.domination import (
-    adjacency_masks,
     enumerate_minimal_ve_dominating_sets,
     is_minimal_ve_dominating,
     is_well_ve_dominated,
@@ -209,7 +208,7 @@ def test_criterion_6_sat_reduction():
         failures.append("figure instance truth table disagrees")
 
     unsat = sat_to_graph(UNSAT_ALL_PATTERNS)
-    adj = adjacency_masks(unsat.graph)
+    adj = reference.adjacency_masks(unsat.graph)
     small = enumerate_minimal_ve_dominating_sets(unsat.graph, size_bound=6)
     independent_small = [
         s for s in small if all(adj[v] & s == 0 for v in bit_list(s))

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import itertools
 import json
 import os
 import random
@@ -555,7 +556,7 @@ def _reduce_payload(g: Graph) -> dict:
     return {
         "edge_list": serialize_edge_list(rmap.reduced_graph),
         "representative_map": {
-            str(v): rmap.representatives[rmap.class_of[v]] for v in range(g.n)
+            str(v): rmap.representatives[r] for v, r in enumerate(rmap.to_reduced)
         },
     }
 
@@ -651,3 +652,15 @@ def test_declared_count_over_the_limit_exits_before_allocation(command, name, te
     done = _run_capped([command, str(f)])
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"error: {order} vertices exceeds the limit of 1000000\n"
+
+
+def test_gadget_edge_count_over_the_limit_exits_before_the_build(tmp_path):
+    """1,500 clauses over 3 variables make only 1,519 gadget vertices, but
+    the clause clique alone has m(m - 1)/2 = 1,124,250 edges."""
+    signs = itertools.cycle(itertools.product((1, -1), repeat=3))
+    clauses = [f"{a} {2 * b} {3 * c} 0\n" for a, b, c in itertools.islice(signs, 1500)]
+    f = tmp_path / "clique.cnf"
+    f.write_text("p cnf 3 1500\n" + "".join(clauses))
+    done = _run_capped(["from-cnf", str(f)])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: 1130265 gadget edges exceeds the limit of 1000000\n"

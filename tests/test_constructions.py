@@ -19,7 +19,6 @@ from vedom.constructions import (
 )
 from vedom.domination import (
     InstanceTooLargeError,
-    adjacency_masks,
     enumerate_minimal_ve_dominating_sets,
     is_minimal_ve_dominating,
     is_ve_dominating,
@@ -29,7 +28,7 @@ from vedom.freetrees import trees_isomorphic
 from vedom.graph import Graph, bit_list, mask_from
 from vedom.recognizer import UnitPartition, recognize, unit_partition, validate_unit_partition
 
-from tests.reference import sat_decide_by_truth_table
+from tests.reference import adjacency_masks, sat_decide_by_truth_table
 
 FIG_INSTANCE = CnfInstance(4, ((1, 2, -3), (-1, 3, 4), (-2, -3, -4)))
 UNSAT_ALL_PATTERNS = CnfInstance(

@@ -9,12 +9,15 @@ same minimal ve-dominating sets, in the same order, as the oracle's earlier
 generate-then-filter search, on graphs past the 16-vertex cap of the
 exhaustive sweep; and the same oracle report, witnesses included, as the
 earlier report that sorted the sets before tallying them, and the same
-dominated-edge and adjacency masks as the earlier mask rule; and the same
+dominated-edge masks as the earlier mask rule; and the same
 reduction map and induced subgraph as the earlier code that rebuilt each
 graph through ``Graph.from_edges``, whose result the unchecked
 ``Graph._build`` also matches; the same edges or the same format error as
 the earlier two-pass parser; and the same unit partition or refutation,
-and the same reducedness verdict, as the earlier set-based code."""
+and the same reducedness verdict, as the earlier set-based code; the same
+recognition result, every field, as the earlier ``recognize`` that built
+its result in three places; and the same tree from every level sequence
+as the earlier builder with its own adjacency loop."""
 
 import itertools
 import math
@@ -25,7 +28,6 @@ from hypothesis import strategies as st
 
 from vedom.constructions import CnfInstance, expand_backbone, path_graph, sat_to_graph
 from vedom.domination import (
-    adjacency_masks,
     dominated_edge_masks,
     enumerate_minimal_ve_dominating_sets,
     is_well_ve_dominated,
@@ -35,6 +37,7 @@ from vedom.freetrees import (
     FREE_TREE_COUNTS,
     canonical_form,
     enumerate_free_trees,
+    level_sequence_to_graph,
     pruefer_to_tree,
     rooted_level_sequences,
 )
@@ -102,6 +105,13 @@ def test_free_trees_up_to_order_13_match_reference_generator():
         assert list(enumerate_free_trees(n)) == list(reference.enumerate_free_trees(n))
 
 
+def test_level_sequence_builder_matches_reference():
+    for n in range(1, 13):
+        for seq in rooted_level_sequences(n):
+            assert level_sequence_to_graph(seq) == reference.level_sequence_to_graph(seq)
+    assert level_sequence_to_graph(()) == reference.level_sequence_to_graph(()) == Graph(0, (), ())
+
+
 def test_free_trees_of_orders_14_to_16_are_their_canonical_forms():
     """Past the reference generator's orders: each tree's canonical form
     is strictly below the one before it, so no class repeats, the tree is
@@ -145,11 +155,18 @@ def _planted(rng: random.Random, k: int, tail: int) -> tuple[Graph, Graph]:
     return t, Graph.from_edges(t.n + tail, edges)
 
 
-def test_large_seeded_trees_match_reference():
+def _large_seeded_trees() -> tuple[list[tuple[Graph, Graph]], Graph]:
+    """Accepted trees of orders 600, 990 and 1500, each with a path planted
+    that makes forbidden pattern iii, ii or i, and a random 500-vertex tree."""
     rng = random.Random(20251020)
+    pairs = [_planted(rng, k, tail) for k, tail in ((200, 4), (330, 2), (500, 1))]
+    return pairs, _random_tree(rng, 500, 500)
+
+
+def test_large_seeded_trees_match_reference():
+    pairs, random_tree = _large_seeded_trees()
     witnesses = []
-    for k, tail in ((200, 4), (330, 2), (500, 1)):
-        t, planted = _planted(rng, k, tail)
+    for t, planted in pairs:
         result = recognize(t)
         assert verify_certificate(t, result.certificate) == reference.verify_certificate(
             t, result.certificate
@@ -157,9 +174,27 @@ def test_large_seeded_trees_match_reference():
         found = find_forbidden_configuration(planted)
         assert found == reference.find_forbidden_configuration(planted)
         witnesses.append(found[0])
-    t = _random_tree(rng, 500, 500)
-    assert find_forbidden_configuration(t) == reference.find_forbidden_configuration(t)
+    found = find_forbidden_configuration(random_tree)
+    assert found == reference.find_forbidden_configuration(random_tree)
     assert witnesses == ["iii", "ii", "i"]
+
+
+def test_recognize_matches_reference():
+    """Every field of the result, on all free trees up to order 13, the
+    seeded random trees and the large planted ones: both accepting cases,
+    all three forbidden paths and three structural refutations occur."""
+    pairs, random_tree = _large_seeded_trees()
+    trees = [t for n in range(1, 14) for t in enumerate_free_trees(n)]
+    trees += _seeded_trees() + [t for pair in pairs for t in pair] + [random_tree]
+    outcomes = set()
+    for t in trees:
+        result = recognize(t)
+        assert result == reference.recognize(t)
+        outcomes.add(result.refutation.reason if result.refutation else result.case)
+    assert outcomes == {
+        "T1", "T2", "forbidden-path(i)", "forbidden-path(ii)", "forbidden-path(iii)",
+        "order-not-3n", "bad-leaf", "w-multiplicity",
+    }
 
 
 @st.composite
@@ -283,15 +318,14 @@ def test_streamed_report_matches_reference_on_random_graphs():
 
 
 def test_masks_match_reference():
-    """The library's dominated-edge and adjacency masks against the earlier
-    rule, which the reference searches build for themselves."""
+    """The library's dominated-edge masks against the earlier rule, which
+    the reference searches build for themselves."""
     graphs = [t for n in range(1, 11) for t in enumerate_free_trees(n)]
     graphs += _random_graphs()
     graphs += [Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)]) for n in range(1, 41)]
     graphs += [sat_to_graph(f).graph for f in _GADGET_FORMULAS]
     for g in graphs:
         assert dominated_edge_masks(g) == reference.dominated_edge_masks(g)
-        assert adjacency_masks(g) == reference.adjacency_masks(g)
 
 
 def _assert_reduction_matches_reference(g):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from vedom.domination import (
     InstanceTooLargeError,
-    adjacency_masks,
     domination_chain_check,
     dominated_edge_masks,
     enumerate_minimal_ve_dominating_sets,
@@ -23,7 +22,7 @@ from vedom.freetrees import enumerate_free_trees
 from vedom.graph import Graph, bit_list, connected_components, induced_delete, mask_from
 from vedom.harness import lemma_suite
 
-from tests.reference import is_minimal_by_removal, minimal_sets_by_exhaustion
+from tests.reference import adjacency_masks, is_minimal_by_removal, minimal_sets_by_exhaustion
 from tests.strategies import graphs, relabeled, trees
 
 
@@ -36,7 +35,7 @@ def star(k):
 
 
 def edge_mask(g, pairs):
-    ids = g.edge_ids()
+    ids = {e: i for i, e in enumerate(g.edges)}
     return mask_from(ids[tuple(sorted(p))] for p in pairs)
 
 

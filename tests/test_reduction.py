@@ -59,7 +59,7 @@ class TestReduce:
     def test_representatives_are_minimum_members(self):
         rmap = reduce_graph(star(3))
         assert rmap.representatives == (0, 1)
-        assert rmap.class_of == (0, 1, 1, 1)
+        assert rmap.to_reduced == (0, 1, 1, 1)
 
     def test_to_reduced_sends_twins_together(self):
         rmap = reduce_graph(star(3))
@@ -74,7 +74,7 @@ class TestReduce:
         monkeypatch.setattr(graph_module, "induced_delete", forbidden)
         monkeypatch.setattr(reduction, "induced_delete", forbidden, raising=False)  # if imported
         rmap = reduce_graph(c4_with_twin_leaves)
-        assert rmap.class_of == (0, 1, 0, 2, 3, 3)
+        assert rmap.to_reduced == (0, 1, 0, 2, 3, 3)
         assert rmap.reduced_graph.edges == ((0, 1), (0, 2), (1, 3))
 
 
