@@ -17,7 +17,6 @@ from itertools import chain, starmap
 
 from .constructions import (
     BACKBONE_EXPANSION,
-    CnfFormatError,
     expand_backbone,
     parse_dimacs_cnf,
     sat_decide_via_graph,
@@ -26,14 +25,12 @@ from .constructions import (
 )
 from .domination import (
     FULL_MODE_GUARD,
-    InstanceTooLargeError,
     _check_guard,
     is_well_ve_dominated,
     oracle_report,
 )
 from .graph import (
     Graph,
-    GraphFormatError,
     NotATreeError,
     _parse_edge_list,
     bit_list,
@@ -156,8 +153,13 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     if args.verify:
         _check_guard(t.n, None, args.max_vertices)  # before any recognition work
     result = recognize(t)
+    oracle_says = is_well_ve_dominated(t, guard=args.max_vertices) if args.verify else None
+    agree = None if oracle_says is None else oracle_says == result.verdict
     if args.json:
         payload = _recognition_dict(result)
+        if agree is not None:
+            payload["oracle_agrees"] = agree
+        _emit_json(payload)
     else:
         print(f"verdict: {'yes' if result.verdict else 'no'} (case {result.case})")
         if result.partition is not None:
@@ -172,18 +174,9 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
                 f"refutation: {result.refutation.reason} "
                 f"witness {list(result.refutation.witness)}"
             )
-    if args.verify:
-        oracle_says = is_well_ve_dominated(t, guard=args.max_vertices)
-        agree = oracle_says == result.verdict
-        if args.json:
-            payload["oracle_agrees"] = agree
-            _emit_json(payload)
-        else:
+        if agree is not None:
             print(f"oracle agrees: {agree}")
-        return 0 if agree else 1
-    if args.json:
-        _emit_json(payload)
-    return 0
+    return 1 if agree is False else 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -358,10 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (GraphFormatError, CnfFormatError, InstanceTooLargeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # every input error vedom raises is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

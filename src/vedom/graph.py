@@ -56,7 +56,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph, validating and canonicalizing the edge list."""
+        """Build a graph, validating and canonicalizing the edge list.  An
+        order above MAX_VERTICES raises ValueError."""
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         seen: set[tuple[int, int]] = set()
@@ -73,7 +74,9 @@ class Graph:
 
     @staticmethod
     def _build(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Unchecked: the distinct (min, max) pairs were validated already."""
+        """The distinct (min, max) pairs were validated already.  Only the
+        order is checked, before the sort: every file-built graph comes here."""
+        check_order(n)
         return Graph._from_canonical(n, tuple(sorted(pairs)))
 
     @staticmethod
@@ -103,9 +106,7 @@ def parse_edge_list(text: str) -> Graph:
     non-blank line is "u v".  Errors report the 1-based line number.  A
     count above MAX_VERTICES raises ValueError before the graph is built.
     """
-    n, edges = _parse_edge_list(text)
-    check_order(n)
-    return Graph._build(n, edges)
+    return Graph._build(*_parse_edge_list(text))
 
 
 def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
@@ -256,7 +257,7 @@ def induced_delete(g: Graph, removed: int) -> tuple[Graph, dict[int, int]]:
     Returns the new graph plus the old-index -> new-index map for the
     surviving vertices, which keep their relative order.
     """
-    keep = [v for v, digit in enumerate(f"{removed:0{g.n}b}"[::-1][:g.n]) if digit == "0"]
+    keep = bit_list(((1 << g.n) - 1) & ~removed)
     return _induced(g, keep)[0], {old: new for new, old in enumerate(keep)}
 
 

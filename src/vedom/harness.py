@@ -112,42 +112,30 @@ def _graph_tag(g: Graph) -> str:
     return serialize_edge_list(g).replace("\n", ";")
 
 
+def _starts_path_avoiding(t: Graph, v: int, x: int) -> bool:
+    """Whether v starts a length-2 path avoiding x: v has a non-leaf
+    neighbor other than x."""
+    return any(w != x and t.degree(w) >= 2 for w in t.adj[v])
+
+
 def _qualifying_cut_edges(t: Graph) -> list[tuple[int, int]]:
     """Tree edges whose endpoints both start a length-2 path avoiding the
-    edge: each endpoint needs a non-leaf neighbor besides the other."""
-    out = []
-    for u, v in t.edges:
-        u_ok = any(x != v and t.degree(x) >= 2 for x in t.adj[u])
-        v_ok = any(x != u and t.degree(x) >= 2 for x in t.adj[v])
-        if u_ok and v_ok:
-            out.append((u, v))
-    return out
+    edge."""
+    return [
+        (u, v) for u, v in t.edges if _starts_path_avoiding(t, u, v) and _starts_path_avoiding(t, v, u)
+    ]
 
 
 def _qualifying_cut_vertices(t: Graph) -> list[int]:
     """Cut vertices c with two neighbors that each start a length-2 path
     avoiding c (in a tree every edge is a cut edge already)."""
-    out = []
-    for c in range(t.n):
-        if t.degree(c) < 2:
-            continue
-        good = 0
-        for v in t.adj[c]:
-            if any(x != c and t.degree(x) >= 2 for x in t.adj[v]):
-                good += 1
-        if good >= 2:
-            out.append(c)
-    return out
+    return [c for c in range(t.n) if sum(_starts_path_avoiding(t, v, c) for v in t.adj[c]) >= 2]
 
 
 def random_leaf_duplicated_tree(rng: random.Random, max_order: int) -> Graph:
     """Random tree with random twin leaves added, capped at max_order."""
     base_n = rng.randint(2, max(2, max_order - 2))
-    if base_n <= 2:
-        g = Graph.from_edges(base_n, [(0, 1)] if base_n == 2 else [])
-    else:
-        seq = [rng.randrange(base_n) for _ in range(base_n - 2)]
-        g = pruefer_to_tree(base_n, seq)
+    g = pruefer_to_tree(base_n, [rng.randrange(base_n) for _ in range(base_n - 2)])
     while g.n < max_order and rng.random() < 0.7:
         leaves = [v for v in range(g.n) if g.degree(v) == 1]
         if not leaves:

@@ -14,8 +14,10 @@ masks and tests independence pair by pair, the reduction that deleted every
 non-representative and rebuilt the rest through ``Graph.from_edges``, the
 two-pass edge-list parser, the reducedness test that grouped every
 neighbourhood class, the unit partition built on vertex sets with a
-traversal for backbone connectivity, and the recognizer that built its
-result in three places from the library's own stages.  The others are
+traversal for backbone connectivity, the recognizer that built its result
+in three places from the library's own stages, and the lemma suite's
+qualifying cut edges and vertices, each spelling out the length-2 path
+rule.  The others are
 definitional oracles: the 2^n subset sweep, minimality by single-vertex
 removal, the truth-table satisfiability check and the labeled-tree
 enumeration by textbook Pruefer decoding.  They are slow but simple, so the
@@ -462,6 +464,34 @@ def induced_delete(g: Graph, removed: int) -> tuple[Graph, dict[int, int]]:
         if u in remap and v in remap
     ]
     return Graph.from_edges(len(keep), edges), remap
+
+
+def qualifying_cut_edges(t: Graph) -> list[tuple[int, int]]:
+    """The harness's earlier list of tree edges whose endpoints both start a
+    length-2 path avoiding the edge."""
+    out = []
+    for u, v in t.edges:
+        u_ok = any(x != v and t.degree(x) >= 2 for x in t.adj[u])
+        v_ok = any(x != u and t.degree(x) >= 2 for x in t.adj[v])
+        if u_ok and v_ok:
+            out.append((u, v))
+    return out
+
+
+def qualifying_cut_vertices(t: Graph) -> list[int]:
+    """The harness's earlier list of cut vertices c with two neighbors that
+    each start a length-2 path avoiding c."""
+    out = []
+    for c in range(t.n):
+        if t.degree(c) < 2:
+            continue
+        good = 0
+        for v in t.adj[c]:
+            if any(x != c and t.degree(x) >= 2 for x in t.adj[v]):
+                good += 1
+        if good >= 2:
+            out.append(c)
+    return out
 
 
 def reduce_graph(g: Graph) -> ReductionMap:

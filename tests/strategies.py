@@ -1,4 +1,5 @@
-"""Hypothesis strategies and the relabelling helper shared by the test modules."""
+"""Hypothesis strategies, the relabelling helper and the star graph shared by
+the test modules; paths come from ``vedom.constructions.path_graph``."""
 
 from __future__ import annotations
 
@@ -34,6 +35,11 @@ def trees(draw, min_n: int = 1, max_n: int = 10) -> Graph:
 @st.composite
 def permutations_of(draw, n: int) -> list[int]:
     return draw(st.permutations(list(range(n))))
+
+
+def star(k: int) -> Graph:
+    """The star K_{1,k}: center 0, leaves 1..k."""
+    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:

@@ -640,16 +640,18 @@ def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "command, name, text, order",
     [
-        ("reduce", "count.el", "n 1000000000\n", 10**9),
-        ("reduce", "index.el", "0 999999999\n", 10**9),
-        ("from-cnf", "count.cnf", "p cnf 1000000000 1\n1 2 3 0\n", 6 * 10**9 + 2),
+        (["reduce"], "count.el", "n 1000000000\n", 10**9),
+        (["reduce"], "index.el", "0 999999999\n", 10**9),
+        (["from-cnf"], "count.cnf", "p cnf 1000000000 1\n1 2 3 0\n", 6 * 10**9 + 2),
+        # an oracle guard raised past the order still leaves the vertex limit
+        (["analyze", "--max-vertices", "2000000000"], "count.el", "n 1000000000\n", 10**9),
     ],
-    ids=["reduce-count", "reduce-index", "from-cnf-count"],
+    ids=["reduce-count", "reduce-index", "from-cnf-count", "analyze-count"],
 )
 def test_declared_count_over_the_limit_exits_before_allocation(command, name, text, order, tmp_path):
     f = tmp_path / name
     f.write_text(text)
-    done = _run_capped([command, str(f)])
+    done = _run_capped([*command, str(f)])
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"error: {order} vertices exceeds the limit of 1000000\n"
 

@@ -29,6 +29,7 @@ from vedom.graph import Graph, bit_list, mask_from
 from vedom.recognizer import UnitPartition, recognize, unit_partition, validate_unit_partition
 
 from tests.reference import adjacency_masks, sat_decide_by_truth_table
+from tests.strategies import star
 
 FIG_INSTANCE = CnfInstance(4, ((1, 2, -3), (-1, 3, 4), (-2, -3, -4)))
 UNSAT_ALL_PATTERNS = CnfInstance(
@@ -38,10 +39,6 @@ UNSAT_ALL_PATTERNS = CnfInstance(
         for signs in itertools.product((1, -1), repeat=3)
     ),
 )
-
-
-def star(k):
-    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 @st.composite

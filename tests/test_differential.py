@@ -42,6 +42,7 @@ from vedom.freetrees import (
     rooted_level_sequences,
 )
 from vedom.graph import Graph, GraphFormatError, _parse_edge_list, induced_delete
+from vedom.harness import _qualifying_cut_edges, _qualifying_cut_vertices
 from vedom.recognizer import (
     Refutation,
     find_forbidden_configuration,
@@ -393,6 +394,13 @@ def test_reduction_matches_reference_on_complete_bipartite_graphs(a, b):
 def test_induced_delete_matches_reference(case):
     g, removed = case
     assert induced_delete(g, removed) == reference.induced_delete(g, removed)
+
+
+def test_qualifying_cuts_match_reference():
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            assert _qualifying_cut_edges(t) == reference.qualifying_cut_edges(t)
+            assert _qualifying_cut_vertices(t) == reference.qualifying_cut_vertices(t)
 
 
 @given(graphs(max_n=10), st.randoms(use_true_random=False))

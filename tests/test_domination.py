@@ -17,21 +17,13 @@ from vedom.domination import (
     private_edges,
     ve_dominated_edges,
 )
-from vedom.constructions import CnfInstance, sat_decide_via_graph, sat_to_graph
+from vedom.constructions import CnfInstance, path_graph, sat_decide_via_graph, sat_to_graph
 from vedom.freetrees import enumerate_free_trees
 from vedom.graph import Graph, bit_list, connected_components, induced_delete, mask_from
 from vedom.harness import lemma_suite
 
 from tests.reference import adjacency_masks, is_minimal_by_removal, minimal_sets_by_exhaustion
-from tests.strategies import graphs, relabeled, trees
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star(k):
-    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+from tests.strategies import graphs, relabeled, star, trees
 
 
 def edge_mask(g, pairs):
@@ -41,11 +33,11 @@ def edge_mask(g, pairs):
 
 class TestDominatedEdges:
     def test_path_four_end(self):
-        g = path(4)
+        g = path_graph(4)
         assert ve_dominated_edges(g, 0) == edge_mask(g, [(0, 1), (1, 2)])
 
     def test_path_four_inner(self):
-        g = path(4)
+        g = path_graph(4)
         assert ve_dominated_edges(g, 1) == (1 << 3) - 1
 
     def test_star_leaf_sees_everything(self):
@@ -55,7 +47,7 @@ class TestDominatedEdges:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            ve_dominated_edges(path(2), 5)
+            ve_dominated_edges(path_graph(2), 5)
 
     @given(graphs())
     def test_matches_the_mask_table(self, g):
@@ -64,44 +56,44 @@ class TestDominatedEdges:
 
 class TestIsVeDominating:
     def test_path_four_center(self):
-        assert is_ve_dominating(path(4), mask_from([2]))
+        assert is_ve_dominating(path_graph(4), mask_from([2]))
 
     def test_path_four_far_end_misses(self):
-        assert not is_ve_dominating(path(4), mask_from([3]))
+        assert not is_ve_dominating(path_graph(4), mask_from([3]))
 
     def test_empty_set_dominates_edgeless(self):
-        assert is_ve_dominating(path(1), 0)
-        assert not is_ve_dominating(path(2), 0)
+        assert is_ve_dominating(path_graph(1), 0)
+        assert not is_ve_dominating(path_graph(2), 0)
 
 
 class TestPrivateEdges:
     def test_path_six(self):
-        g = path(6)
+        g = path_graph(6)
         got = private_edges(g, mask_from([1, 4]), 1)
         assert got == edge_mask(g, [(0, 1), (1, 2)])
 
     def test_singleton_private_is_everything_dominated(self):
-        g = path(5)
+        g = path_graph(5)
         for v in range(5):
             assert private_edges(g, 1 << v, v) == ve_dominated_edges(g, v)
 
     def test_shadowed_vertex_has_none(self):
-        assert private_edges(path(4), mask_from([1, 2]), 1) == 0
+        assert private_edges(path_graph(4), mask_from([1, 2]), 1) == 0
 
     def test_requires_membership(self):
         with pytest.raises(ValueError):
-            private_edges(path(4), mask_from([1]), 2)
+            private_edges(path_graph(4), mask_from([1]), 2)
 
 
 class TestMinimality:
     def test_path_four_cases(self):
-        g = path(4)
+        g = path_graph(4)
         assert is_minimal_ve_dominating(g, mask_from([2]))
         assert is_minimal_ve_dominating(g, mask_from([0, 3]))
         assert not is_minimal_ve_dominating(g, mask_from([1, 2]))
 
     def test_routes_agree_exhaustively_on_small_graphs(self):
-        corpus = [path(n) for n in range(1, 7)]
+        corpus = [path_graph(n) for n in range(1, 7)]
         corpus.append(star(3))
         corpus.append(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
         corpus.append(Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]))
@@ -126,15 +118,15 @@ def test_minimality_routes_agree_on_larger_random_subsets(t, raw):
 
 class TestEnumeration:
     def test_path_four_exact(self):
-        sets = enumerate_minimal_ve_dominating_sets(path(4))
+        sets = enumerate_minimal_ve_dominating_sets(path_graph(4))
         assert [bit_list(s) for s in sets] == [[1], [2], [0, 3]]
 
     def test_path_two(self):
-        sets = enumerate_minimal_ve_dominating_sets(path(2))
+        sets = enumerate_minimal_ve_dominating_sets(path_graph(2))
         assert [bit_list(s) for s in sets] == [[0], [1]]
 
     def test_path_six_all_size_two(self):
-        sets = enumerate_minimal_ve_dominating_sets(path(6))
+        sets = enumerate_minimal_ve_dominating_sets(path_graph(6))
         assert {s.bit_count() for s in sets} == {2}
 
     def test_edgeless_graph_has_empty_set_only(self):
@@ -142,7 +134,7 @@ class TestEnumeration:
         assert enumerate_minimal_ve_dominating_sets(g) == [0]
 
     def test_order_contract(self):
-        sets = enumerate_minimal_ve_dominating_sets(path(5))
+        sets = enumerate_minimal_ve_dominating_sets(path_graph(5))
         keys = [(s.bit_count(), bit_list(s)) for s in sets]
         assert keys == sorted(keys)
 
@@ -174,7 +166,7 @@ class TestEnumeration:
                 ) == enumerate_minimal_ve_dominating_sets(t)
 
     def test_size_bound_filters(self):
-        sets = enumerate_minimal_ve_dominating_sets(path(4), size_bound=1)
+        sets = enumerate_minimal_ve_dominating_sets(path_graph(4), size_bound=1)
         assert [bit_list(s) for s in sets] == [[1], [2]]
 
 
@@ -186,28 +178,28 @@ def test_enumeration_matches_exhaustion(g):
 
 class TestOracleReport:
     def test_path_six(self):
-        r = oracle_report(path(6))
+        r = oracle_report(path_graph(6))
         assert (r.gamma_ve, r.big_gamma_ve) == (2, 2)
         assert r.is_well_ve_dominated
 
     def test_path_four(self):
-        r = oracle_report(path(4))
+        r = oracle_report(path_graph(4))
         assert (r.gamma_ve, r.big_gamma_ve) == (1, 2)
         assert not r.is_well_ve_dominated
         assert r.minimal_size_multiset == {1: 2, 2: 1}
 
     def test_single_vertex(self):
-        r = oracle_report(path(1))
+        r = oracle_report(path_graph(1))
         assert (r.gamma_ve, r.big_gamma_ve) == (0, 0)
         assert r.is_well_ve_dominated and r.is_well_ve_covered
 
     def test_witnesses_are_minimal_of_reported_sizes(self):
         for n in range(2, 9):
-            r = oracle_report(path(n))
+            r = oracle_report(path_graph(n))
             assert r.witness_min.bit_count() == r.gamma_ve
             assert r.witness_max.bit_count() == r.big_gamma_ve
-            assert is_minimal_ve_dominating(path(n), r.witness_min)
-            assert is_minimal_ve_dominating(path(n), r.witness_max)
+            assert is_minimal_ve_dominating(path_graph(n), r.witness_min)
+            assert is_minimal_ve_dominating(path_graph(n), r.witness_max)
 
     def test_wvd_implies_wvc_on_small_trees(self):
         for n in range(1, 9):
@@ -217,16 +209,16 @@ class TestOracleReport:
                     assert r.is_well_ve_covered
 
     def test_json_keys_and_stability(self):
-        d = oracle_report(path(6)).to_json_dict()
+        d = oracle_report(path_graph(6)).to_json_dict()
         assert list(d) == [
             "gamma_ve", "big_gamma_ve", "sizes", "witness_min", "witness_max",
             "i_ve", "beta_ve", "wvd", "wvc", "mode",
         ]
         assert d["mode"] == "full"
-        assert json.dumps(d) == json.dumps(oracle_report(path(6)).to_json_dict())
+        assert json.dumps(d) == json.dumps(oracle_report(path_graph(6)).to_json_dict())
 
     def test_bounded_mode_tag(self):
-        r = oracle_report(path(6), size_bound=3)
+        r = oracle_report(path_graph(6), size_bound=3)
         assert r.enumeration_mode == "size-bounded(3)"
 
     def test_guard_full_mode(self):
@@ -276,9 +268,9 @@ class TestDisconnected:
 
 class TestChain:
     def test_path_examples(self):
-        assert domination_chain_check(path(6))
-        assert domination_chain_check(path(4))
-        r = oracle_report(path(4))
+        assert domination_chain_check(path_graph(6))
+        assert domination_chain_check(path_graph(4))
+        r = oracle_report(path_graph(4))
         assert (r.gamma_ve, r.i_ve, r.beta_ve, r.big_gamma_ve) == (1, 1, 2, 2)
 
 
@@ -296,7 +288,7 @@ def test_verdict_invariant_under_relabelling(t):
 
 
 def test_independence_helper():
-    g = path(4)
+    g = path_graph(4)
     adj = adjacency_masks(g)
     assert adj[1] == mask_from([0, 2])
 
@@ -307,10 +299,10 @@ FIGURE_CNF = CnfInstance(4, ((1, 2, -3), (-1, 3, 4), (-2, -3, -4)))
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: oracle_report(path(10)),
+        lambda: oracle_report(path_graph(10)),
         lambda: oracle_report(sat_to_graph(FIGURE_CNF).graph, size_bound=8),
-        lambda: is_well_ve_dominated(path(10)),
-        lambda: is_well_ve_dominated(path(7)),
+        lambda: is_well_ve_dominated(path_graph(10)),
+        lambda: is_well_ve_dominated(path_graph(7)),
         lambda: enumerate_minimal_ve_dominating_sets(star(4)),
         lambda: sat_decide_via_graph(FIGURE_CNF),
         lambda: lemma_suite(8),

@@ -20,17 +20,9 @@ from vedom.graph import Graph, is_tree
 
 from tests import reference
 from tests.reference import labeled_trees
-from tests.strategies import relabeled
+from tests.strategies import relabeled, star
 
 ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star(k):
-    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 class TestRootedSequences:
@@ -81,7 +73,7 @@ class TestFreeTreeEnumeration:
 
     def test_order_four(self):
         got = {canonical_form(t) for t in enumerate_free_trees(4)}
-        assert got == {canonical_form(path(4)), canonical_form(star(3))}
+        assert got == {canonical_form(path_graph(4)), canonical_form(star(3))}
 
     def test_all_outputs_are_trees_of_right_order(self):
         for n in range(1, 9):
@@ -118,11 +110,11 @@ class TestIsomorphism:
         assert trees_isomorphic(t, relabeled(t, list(reversed(range(7)))))
 
     def test_different_trees_are_not(self):
-        assert not trees_isomorphic(path(6), star(5))
-        assert not trees_isomorphic(path(4), star(3))
+        assert not trees_isomorphic(path_graph(6), star(5))
+        assert not trees_isomorphic(path_graph(4), star(3))
 
     def test_order_mismatch(self):
-        assert not trees_isomorphic(path(4), path(5))
+        assert not trees_isomorphic(path_graph(4), path_graph(5))
 
 
 class TestDeepTrees:

@@ -10,6 +10,7 @@ from hypothesis import given
 import vedom
 
 from vedom import graph as graph_module
+from vedom.constructions import path_graph
 from vedom.graph import (
     Graph,
     GraphFormatError,
@@ -27,11 +28,7 @@ from vedom.graph import (
     traverse,
 )
 
-from tests.strategies import graphs, relabeled
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+from tests.strategies import graphs, relabeled, star
 
 
 class TestParsing:
@@ -94,8 +91,12 @@ class TestParsing:
             g = parse_edge_list(text)
             assert serialize_edge_list(g) == text
 
-    @pytest.mark.parametrize("text", ["n 1000000000\n", "0 999999999\n"], ids=["count", "index"])
-    def test_order_over_the_limit_raises_before_the_build(self, text):
+    @pytest.mark.parametrize(
+        "call",
+        ["parse_edge_list('n 1000000000')", "parse_edge_list('0 999999999')", "Graph.from_edges(10**9, [])"],
+        ids=["count", "index", "from-edges"],
+    )
+    def test_order_over_the_limit_raises_before_the_build(self, call):
         """In a child process with its address space capped at 1 GiB, so a
         graph built in proportion to the order fails there and not here."""
 
@@ -103,16 +104,15 @@ class TestParsing:
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
         code = (
-            "import sys\n"
-            "from vedom.graph import parse_edge_list\n"
+            "from vedom.graph import Graph, parse_edge_list\n"
             "try:\n"
-            "    parse_edge_list(sys.argv[1])\n"
+            f"    {call}\n"
             "except ValueError as exc:\n"
             "    print(type(exc).__name__, exc)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(vedom.__file__).resolve().parents[1])}
         done = subprocess.run(
-            [sys.executable, "-c", code, text],
+            [sys.executable, "-c", code],
             capture_output=True, text=True, timeout=60, preexec_fn=cap, env=env,
         )
         assert (done.returncode, done.stderr) == (0, "")
@@ -161,7 +161,7 @@ class TestConstruction:
 
 class TestIsTree:
     def test_path_is_tree(self):
-        assert is_tree(path(6))
+        assert is_tree(path_graph(6))
 
     def test_cycle_is_not(self):
         c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -181,14 +181,14 @@ class TestIsTree:
         assert not has_tree_size(3_000_000, 0)
 
     def test_require_tree_names_the_task(self):
-        require_tree(path(3), "sorting")
+        require_tree(path_graph(3), "sorting")
         with pytest.raises(NotATreeError, match="^sorting requires a tree$"):
             require_tree(Graph.from_edges(4, [(0, 1), (2, 3)]), "sorting")
 
 
 class TestComponents:
     def test_single_component(self):
-        assert connected_components(path(6)) == [mask_from(range(6))]
+        assert connected_components(path_graph(6)) == [mask_from(range(6))]
 
     def test_two_components(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
@@ -227,12 +227,12 @@ class TestTraverse:
         assert parent[2] == parent[5] == -1
 
     def test_allowed_restricts_the_search(self):
-        order, parent = traverse(path(6), 2, allowed={1, 3, 4})
+        order, parent = traverse(path_graph(6), 2, allowed={1, 3, 4})
         assert sorted(order) == [1, 2, 3, 4]
         assert parent == [-1, 2, -1, 2, 3, -1]
 
     def test_root_outside_allowed_is_still_listed(self):
-        assert traverse(path(3), 0, allowed=set()) == ([0], [-1, -1, -1])
+        assert traverse(path_graph(3), 0, allowed=set()) == ([0], [-1, -1, -1])
 
     @given(graphs(min_n=1, max_n=8))
     def test_reaches_exactly_the_root_component(self, g):
@@ -244,16 +244,15 @@ class TestTraverse:
 
 class TestGoodPendantEdges:
     def test_path_six_both_ends(self):
-        assert good_pendant_edges(path(6)) == [(0, 1), (5, 4)]
+        assert good_pendant_edges(path_graph(6)) == [(0, 1), (5, 4)]
 
     def test_star_has_none(self):
-        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert good_pendant_edges(star) == []
+        assert good_pendant_edges(star(3)) == []
 
     def test_path_four(self):
-        pairs = good_pendant_edges(path(4))
+        pairs = good_pendant_edges(path_graph(4))
         assert pairs == [(0, 1), (3, 2)]
-        g = path(4)
+        g = path_graph(4)
         for leaf, support in pairs:
             assert g.degree(leaf) == 1
             assert g.degree(support) == 2
@@ -261,19 +260,19 @@ class TestGoodPendantEdges:
 
 class TestInducedDelete:
     def test_middle_of_path(self):
-        sub, remap = induced_delete(path(6), mask_from((2, 3)))
+        sub, remap = induced_delete(path_graph(6), mask_from((2, 3)))
         assert sub.n == 4
         assert sub.edges == ((0, 1), (2, 3))
         assert remap == {0: 0, 1: 1, 4: 2, 5: 3}
 
     def test_delete_nothing_is_identity(self):
-        g = path(6)
+        g = path_graph(6)
         sub, remap = induced_delete(g, 0)
         assert sub == g
         assert remap == {v: v for v in range(6)}
 
     def test_leaf_removal(self):
-        sub, _ = induced_delete(path(4), 1 << 0)
+        sub, _ = induced_delete(path_graph(4), 1 << 0)
         assert sub.edges == ((0, 1), (1, 2))
 
 

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from vedom.constructions import expand_backbone, path_graph
 from vedom.freetrees import FREE_TREE_COUNTS
-from vedom.graph import Graph, is_tree
+from vedom.graph import is_tree
 from vedom.harness import (
     ValidationReport,
     _qualifying_cut_edges,
@@ -13,10 +14,6 @@ from vedom.harness import (
     lemma_suite,
     random_leaf_duplicated_tree,
 )
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestCrossValidate:
@@ -66,18 +63,16 @@ class TestLemmaSuite:
 
 class TestQualifyingHypotheses:
     def test_path_six_edges(self):
-        assert _qualifying_cut_edges(path(6)) == [(2, 3)]
+        assert _qualifying_cut_edges(path_graph(6)) == [(2, 3)]
 
     def test_path_six_has_no_qualifying_vertex(self):
-        assert _qualifying_cut_vertices(path(6)) == []
+        assert _qualifying_cut_vertices(path_graph(6)) == []
 
     def test_path_seven_center_qualifies(self):
-        assert 3 in _qualifying_cut_vertices(path(7))
+        assert 3 in _qualifying_cut_vertices(path_graph(7))
 
     def test_expansion_middle_backbone_qualifies(self):
-        from vedom.constructions import expand_backbone
-
-        t, _ = expand_backbone(path(3))
+        t, _ = expand_backbone(path_graph(3))
         assert 1 in _qualifying_cut_vertices(t)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import vedom.domination
 import vedom.graph
 import vedom.recognizer
-from vedom.constructions import expand_backbone
+from vedom.constructions import expand_backbone, path_graph
 from vedom.domination import is_minimal_ve_dominating, oracle_report
 from vedom.freetrees import enumerate_free_trees, pruefer_to_tree, trees_isomorphic
 from vedom.graph import Graph, bit_list, mask_from
@@ -22,15 +22,7 @@ from vedom.recognizer import (
     verify_certificate,
 )
 
-from tests.strategies import trees
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star(k):
-    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+from tests.strategies import star, trees
 
 
 def spider_two_legs(legs=3):
@@ -45,20 +37,20 @@ def spider_two_legs(legs=3):
 
 class TestForbiddenConfigurations:
     def test_path_four_is_config_i(self):
-        assert find_forbidden_configuration(path(4)) == ("i", (0, 1, 2, 3))
+        assert find_forbidden_configuration(path_graph(4)) == ("i", (0, 1, 2, 3))
 
     def test_path_five_is_config_ii(self):
-        assert find_forbidden_configuration(path(5)) == ("ii", (0, 1, 2, 3, 4))
+        assert find_forbidden_configuration(path_graph(5)) == ("ii", (0, 1, 2, 3, 4))
 
     def test_path_seven_is_config_iii(self):
-        assert find_forbidden_configuration(path(7)) == ("iii", (0, 1, 2, 3, 4, 5, 6))
+        assert find_forbidden_configuration(path_graph(7)) == ("iii", (0, 1, 2, 3, 4, 5, 6))
 
     def test_path_six_is_clean(self):
-        assert find_forbidden_configuration(path(6)) is None
+        assert find_forbidden_configuration(path_graph(6)) is None
 
     def test_path_nine_is_clean(self):
         # no leaf pair at distance 3, 4, or 6: soundness means no witness
-        assert find_forbidden_configuration(path(9)) is None
+        assert find_forbidden_configuration(path_graph(9)) is None
 
     def test_spider_is_config_ii(self):
         found = find_forbidden_configuration(spider_two_legs())
@@ -81,14 +73,14 @@ class TestForbiddenConfigurations:
 
 class TestUnitPartition:
     def test_path_six(self):
-        p = unit_partition(path(6))
+        p = unit_partition(path_graph(6))
         assert isinstance(p, UnitPartition)
         assert p.units == ((0, 1, 2), (5, 4, 3))
         assert p.label == ("L", "S", "W", "W", "S", "L")
         assert p.backbone_edges == ((2, 3),)
 
     def test_path_nine_middle_fails(self):
-        r = unit_partition(path(9))
+        r = unit_partition(path_graph(9))
         assert isinstance(r, Refutation)
         assert r.reason == "w-multiplicity"
 
@@ -115,7 +107,7 @@ class TestUnitPartition:
         with pytest.raises(ValueError, match="reduced"):
             unit_partition(star(5))
         with pytest.raises(ValueError, match="order"):
-            unit_partition(path(4))
+            unit_partition(path_graph(4))
 
 
 def _other_color_class(cert, p):
@@ -126,43 +118,43 @@ def _other_color_class(cert, p):
 
 class TestCertificates:
     def test_path_six_certificate(self):
-        p = unit_partition(path(6))
-        assert bit_list(build_certificate(path(6), p)) == [1, 5]
+        p = unit_partition(path_graph(6))
+        assert bit_list(build_certificate(path_graph(6), p)) == [1, 5]
 
     def test_path_six_inverted_colors(self):
-        p = unit_partition(path(6))
-        assert bit_list(_other_color_class(build_certificate(path(6), p), p)) == [0, 4]
+        p = unit_partition(path_graph(6))
+        assert bit_list(_other_color_class(build_certificate(path_graph(6), p), p)) == [0, 4]
 
     def test_alternating_classes_on_path_backbone(self):
         from vedom.constructions import expand_backbone
 
-        t, p = expand_backbone(path(3))
+        t, p = expand_backbone(path_graph(3))
         # backbone 0-1-2, supports 3,4,5, leaves 6,7,8: alternation picks
         # supports at the even backbone vertices and the middle leaf
         assert bit_list(build_certificate(t, p)) == [3, 5, 7]
 
     def test_verify_path_six_good(self):
-        check = verify_certificate(path(6), mask_from([1, 5]))
+        check = verify_certificate(path_graph(6), mask_from([1, 5]))
         assert check.passed
         assert check.counts == (1, 1, 1, 1, 1)
 
     def test_verify_double_cover_fails(self):
-        check = verify_certificate(path(6), mask_from([1, 4]))
+        check = verify_certificate(path_graph(6), mask_from([1, 4]))
         assert not check.passed
         assert check.counts[2] == 2
 
     def test_verify_uncovered_fails(self):
-        check = verify_certificate(path(6), mask_from([0, 5]))
+        check = verify_certificate(path_graph(6), mask_from([0, 5]))
         assert not check.passed
         assert check.counts[2] == 0
 
     def test_verify_rejects_dependent_set(self):
-        check = verify_certificate(path(6), mask_from([0, 1, 4]))
+        check = verify_certificate(path_graph(6), mask_from([0, 1, 4]))
         assert not check.independent
         assert not check.passed
 
     def test_verify_rejects_outside_leaf_support(self):
-        check = verify_certificate(path(6), mask_from([2, 4]))
+        check = verify_certificate(path_graph(6), mask_from([2, 4]))
         assert not check.within_leaf_support
 
     def test_both_colorings_always_pass(self):
@@ -214,34 +206,34 @@ class TestNoQuadraticWork:
 
 class TestValidatePartition:
     def test_roundtrip(self):
-        p = unit_partition(path(6))
-        validate_unit_partition(path(6), p)
+        p = unit_partition(path_graph(6))
+        validate_unit_partition(path_graph(6), p)
 
     def test_rejects_wrong_tree(self):
-        p = unit_partition(path(6))
+        p = unit_partition(path_graph(6))
         with pytest.raises(InvalidPartitionError):
-            validate_unit_partition(path(9), p)
+            validate_unit_partition(path_graph(9), p)
 
     def test_rejects_mangled_units(self):
-        p = unit_partition(path(6))
+        p = unit_partition(path_graph(6))
         bad = UnitPartition(
             units=((1, 0, 2), p.units[1]),
             label=p.label,
             backbone_edges=p.backbone_edges,
         )
         with pytest.raises(InvalidPartitionError):
-            validate_unit_partition(path(6), bad)
+            validate_unit_partition(path_graph(6), bad)
 
 
 class TestRecognize:
     def test_path_six(self):
-        r = recognize(path(6))
+        r = recognize(path_graph(6))
         assert r.verdict and r.case == "T2"
         assert r.partition.units == ((0, 1, 2), (5, 4, 3))
         assert bit_list(r.certificate) == [1, 5]
 
     def test_path_seven(self):
-        r = recognize(path(7))
+        r = recognize(path_graph(7))
         assert not r.verdict
         assert r.refutation.reason == "forbidden-path(iii)"
 
@@ -251,13 +243,13 @@ class TestRecognize:
         assert r.refutation.reason == "forbidden-path(ii)"
 
     def test_path_nine_reports_structure(self):
-        r = recognize(path(9))
+        r = recognize(path_graph(9))
         assert not r.verdict
         assert r.refutation.reason == "w-multiplicity"
 
     def test_path_ten_reports_order(self):
         # no leaf pair at distance 3, 4, or 6, so the order check surfaces
-        r = recognize(path(10))
+        r = recognize(path_graph(10))
         assert not r.verdict
         assert r.refutation.reason == "order-not-3n"
 
@@ -268,7 +260,7 @@ class TestRecognize:
 
     def test_tiny_paths(self):
         for n in (1, 2, 3):
-            r = recognize(path(n))
+            r = recognize(path_graph(n))
             assert r.verdict and r.case == "T1"
 
     def test_requires_tree(self):

@@ -2,20 +2,13 @@ from hypothesis import given, settings
 
 from vedom import graph as graph_module
 from vedom import reduction
+from vedom.constructions import path_graph
 from vedom.domination import oracle_report
 from vedom.freetrees import enumerate_free_trees, trees_isomorphic
 from vedom.graph import Graph
 from vedom.reduction import is_reduced, neighborhood_classes, reduce_graph
 
-from tests.strategies import graphs, trees
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star(k):
-    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+from tests.strategies import graphs, star, trees
 
 
 class TestNeighborhoodClasses:
@@ -23,35 +16,35 @@ class TestNeighborhoodClasses:
         assert neighborhood_classes(star(3)) == [[0], [1, 2, 3]]
 
     def test_path_three(self):
-        assert neighborhood_classes(path(3)) == [[0, 2], [1]]
+        assert neighborhood_classes(path_graph(3)) == [[0, 2], [1]]
 
     def test_path_six_all_singletons(self):
-        assert neighborhood_classes(path(6)) == [[v] for v in range(6)]
+        assert neighborhood_classes(path_graph(6)) == [[v] for v in range(6)]
 
 
 class TestIsReduced:
     def test_path_six(self):
-        assert is_reduced(path(6))
+        assert is_reduced(path_graph(6))
 
     def test_path_three_is_not(self):
-        assert not is_reduced(path(3))
+        assert not is_reduced(path_graph(3))
 
     def test_single_vertex(self):
-        assert is_reduced(path(1))
+        assert is_reduced(path_graph(1))
 
 
 class TestReduce:
     def test_path_three_to_edge(self):
-        rmap = reduce_graph(path(3))
+        rmap = reduce_graph(path_graph(3))
         assert rmap.reduced_graph.n == 2
         assert rmap.reduced_graph.edges == ((0, 1),)
 
     def test_big_star_to_edge(self):
         rmap = reduce_graph(star(5))
-        assert trees_isomorphic(rmap.reduced_graph, path(2))
+        assert trees_isomorphic(rmap.reduced_graph, path_graph(2))
 
     def test_reduced_input_is_fixed_point(self):
-        p6 = path(6)
+        p6 = path_graph(6)
         rmap = reduce_graph(p6)
         assert rmap.reduced_graph is p6
         assert rmap.to_reduced == tuple(range(6))
@@ -102,7 +95,7 @@ def test_transport_star_example():
     k13 = star(3)
     assert oracle_report(k13).is_well_ve_dominated
     assert oracle_report(reduce_graph(k13).reduced_graph).is_well_ve_dominated
-    assert oracle_report(path(2)).is_well_ve_dominated
+    assert oracle_report(path_graph(2)).is_well_ve_dominated
 
 
 def test_nonsingleton_classes_in_trees_are_leaf_groups():
