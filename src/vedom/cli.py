@@ -153,11 +153,12 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     if args.verify:
         _check_guard(t.n, None, args.max_vertices)  # before any recognition work
     result = recognize(t)
-    oracle_says = is_well_ve_dominated(t, guard=args.max_vertices) if args.verify else None
-    agree = None if oracle_says is None else oracle_says == result.verdict
+    agree = None
+    if args.verify:
+        agree = is_well_ve_dominated(t, guard=args.max_vertices) == result.verdict
     if args.json:
         payload = _recognition_dict(result)
-        if agree is not None:
+        if args.verify:
             payload["oracle_agrees"] = agree
         _emit_json(payload)
     else:
@@ -174,7 +175,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
                 f"refutation: {result.refutation.reason} "
                 f"witness {list(result.refutation.witness)}"
             )
-        if agree is not None:
+        if args.verify:
             print(f"oracle agrees: {agree}")
     return 1 if agree is False else 0
 
