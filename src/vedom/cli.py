@@ -17,6 +17,7 @@ from itertools import chain, starmap
 
 from .constructions import (
     BACKBONE_EXPANSION,
+    _check_gadget_guard,
     expand_backbone,
     parse_dimacs_cnf,
     sat_decide_via_graph,
@@ -239,7 +240,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_from_cnf(args: argparse.Namespace) -> int:
     with open(args.dimacs, "r", encoding="utf-8") as handle:
         instance = parse_dimacs_cnf(handle.read())
-    satisfiable = sat_decide_via_graph(instance) if args.decide else None  # guard first
+    if args.decide:
+        _check_gadget_guard(instance)  # before the gadget is built
     gadget = sat_to_graph(instance)
     payload: dict = {
         "vertices": gadget.graph.n,
@@ -248,7 +250,7 @@ def _cmd_from_cnf(args: argparse.Namespace) -> int:
         "apex": gadget.apex,
     }
     if args.decide:
-        payload["satisfiable"] = satisfiable
+        payload["satisfiable"] = sat_decide_via_graph(gadget)
     if args.json:
         payload["edge_list"] = serialize_edge_list(gadget.graph)
         _emit_json(payload)

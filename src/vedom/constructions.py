@@ -5,7 +5,14 @@ Contents:
   * a reduction from 3-CNF formulas to graphs in which an independent
     ve-dominating set of size 2n exists exactly when the formula is
     satisfiable (without the independence requirement the 2n literal
-    vertices always dominate, so independence is what carries the signal);
+    vertices always dominate, so independence is what carries the signal).
+    So the gadget shows that 3-SAT reduces to asking whether i_ve <= 2n;
+    the tests check i_ve == 2n against truth tables on seeded formulas.
+    It says nothing about well-ve-domination: the 2n literal vertices and
+    a clause vertex with every x and w vertex are minimal sets of sizes 2n
+    and 2n + 1, so no gadget is well-ve-dominated.  vedom does not
+    reproduce the paper's co-NP-completeness result for recognizing
+    well-ve-dominated graphs;
   * backbone expansion, turning any tree R of order >= 2 into a
     well-ve-dominated tree on 3|V(R)| vertices whose backbone is R;
   * unit-cut decomposition and extension, splitting and joining
@@ -148,7 +155,8 @@ def sat_to_graph(f: CnfInstance) -> SatReductionMap:
 
     The output has 6n + m + 1 vertices and 5n + 3m + m(m-1)/2 + m edges and
     is deterministic in the instance.  Either count is checked against
-    graph.MAX_VERTICES before the gadget is built.
+    graph.MAX_VERTICES before the gadget is built.  Every pair is a distinct
+    (min, max) pair by construction, so the graph is built unchecked.
     """
     n, m = f.variable_count, len(f.clauses)
     check_order(6 * n + m + 1)
@@ -174,16 +182,32 @@ def sat_to_graph(f: CnfInstance) -> SatReductionMap:
     for c in clause_vertices:
         edges.append((c, apex))
     return SatReductionMap(
-        graph=Graph.from_edges(6 * n + m + 1, edges),
+        graph=Graph._build(6 * n + m + 1, edges),
         x=x, y=y, u=u, u_neg=u_neg, w=w, z=z,
         clause_vertices=clause_vertices,
         apex=apex,
     )
 
 
-def sat_decide_via_graph(f: CnfInstance) -> bool:
+def _check_gadget_guard(f: CnfInstance | SatReductionMap) -> None:
+    """Raise unless the gadget of f, a formula or a gadget sat_to_graph
+    built, fits the bounded search; a formula's gadget need not be built."""
+    if isinstance(f, SatReductionMap):
+        order = f.graph.n
+    else:
+        order = 6 * f.variable_count + len(f.clauses) + 1
+    if order > SIZE_BOUNDED_VERTEX_GUARD:
+        raise InstanceTooLargeError(
+            f"gadget has {order} vertices, above the bounded-search guard "
+            f"of {SIZE_BOUNDED_VERTEX_GUARD}"
+        )
+
+
+def sat_decide_via_graph(f: CnfInstance | SatReductionMap) -> bool:
     """True iff the gadget admits an independent ve-dominating set of
-    size 2n, which holds iff the formula is satisfiable.
+    size 2n, which holds iff the formula is satisfiable.  f is the formula,
+    whose guard is checked before its gadget is built, or the gadget
+    sat_to_graph built from it.
 
     Any ve-dominating set needs one vertex from each disjoint triple
     {x, y, u} and {u', w, z} (those alone dominate the two pendant path
@@ -194,17 +218,12 @@ def sat_decide_via_graph(f: CnfInstance) -> bool:
     literals consistent as a truth assignment.  Dropping independence loses
     the signal: the 2n literal vertices dominate every gadget.
     """
-    order = 6 * f.variable_count + len(f.clauses) + 1  # checked before the gadget is built
-    if order > SIZE_BOUNDED_VERTEX_GUARD:
-        raise InstanceTooLargeError(
-            f"gadget has {order} vertices, above the bounded-search guard "
-            f"of {SIZE_BOUNDED_VERTEX_GUARD}"
-        )
-    gadget = sat_to_graph(f)
+    _check_gadget_guard(f)
+    gadget = f if isinstance(f, SatReductionMap) else sat_to_graph(f)
     g = gadget.graph
     masks = _masks(g)[1]
     full = (1 << len(g.edges)) - 1
-    n = f.variable_count
+    n = len(gadget.x)
     choice_masks = [
         [
             masks[a] | masks[b]
@@ -237,6 +256,7 @@ def expand_backbone(r: Graph) -> tuple[Graph, UnitPartition]:
     if r.n < 2:
         raise ValueError("backbone expansion requires order at least 2")
     k = r.n
+    check_order(3 * k)  # before the edge list is built
     edges = list(r.edges)
     for v in range(k):
         edges.append((v, k + v))

@@ -139,6 +139,16 @@ def _search(
     pick left under the bound only such vertices are tried.  The
     independence flag is carried down the branch too: adding v keeps it set
     only when v has no neighbor among the members chosen so far.
+
+    Under a size bound the search also prunes with a packing: the edges, in
+    canonical order, whose dominator sets N[a] | N[b] are disjoint from
+    those of the edges kept before them.  Each uncovered packing edge needs
+    a member of its own, as no vertex dominates two of them.  So a vertex
+    that does not complete the cover is tried only when picks are left
+    after it, and, when the uncovered packing edges outnumber those picks,
+    only when it dominates one of them.  A branch cut this way holds no
+    cover within the bound, so the visits, their order and any early stop
+    are those of the search without the packing.  Full mode builds none.
     """
     _check_guard(g.n, size_bound, guard)
     edges = g.edges
@@ -148,6 +158,13 @@ def _search(
         return
     closed, masks = _masks(g)
     bound = g.n if size_bound is None else min(size_bound, g.n)
+    pack = 0  # edges whose dominator sets N[a] | N[b] are pairwise disjoint
+    if size_bound is not None:
+        taken = 0
+        for idx, (a, b) in enumerate(edges):
+            if not (dominators := closed[a] | closed[b]) & taken:
+                taken |= dominators
+                pack |= 1 << idx
 
     def search(
         chosen: int, covered: int, banned: int, private: tuple[int, ...], independent: bool
@@ -155,19 +172,27 @@ def _search(
         rem = ~covered & full
         a, b = edges[(rem & -rem).bit_length() - 1]
         candidates = (closed[a] | closed[b]) & ~banned
-        last = len(private) + 1 == bound
+        room = bound - len(private) - 1  # picks left after this one
+        # the uncovered packing edges, when they outnumber room: a vertex
+        # that leaves all of them uncovered cannot lead to a cover
+        need = rem & pack if (rem & pack).bit_count() > room else 0
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit
             v = bit.bit_length() - 1
             now = covered | masks[v]
-            keep = (~masks[v]).__and__  # what a member keeps private once v joins
-            ind = independent and not closed[v] & chosen
             if now == full:
-                if all(map(keep, private)) and visit(chosen | bit, ind):
+                keep = (~masks[v]).__and__  # what a member keeps private once v joins
+                if all(map(keep, private)) and visit(
+                    chosen | bit, independent and not closed[v] & chosen
+                ):
                     return True
-            elif not last and all(kept := tuple(map(keep, private))):
-                if search(chosen | bit, now, banned, kept + (now ^ covered,), ind):
+            elif room and (not need or masks[v] & need):
+                keep = (~masks[v]).__and__
+                if all(kept := tuple(map(keep, private))) and search(
+                    chosen | bit, now, banned, kept + (now ^ covered,),
+                    independent and not closed[v] & chosen,
+                ):
                     return True
             banned |= bit
         return False

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import vedom
-from vedom import cli, constructions
+from vedom import cli, constructions, graph
 from vedom.cli import main
 from vedom.constructions import expand_backbone, parse_dimacs_cnf, sat_to_graph, unit_cut_decompose
 from vedom.domination import oracle_report
@@ -266,6 +266,21 @@ class TestFromCnf:
             "",
             "error: gadget has 44 vertices, above the bounded-search guard of 40\n",
         )
+
+    def test_decide_builds_the_gadget_once(self, tmp_path, monkeypatch, capsys):
+        builds = []
+
+        def counted(f):
+            builds.append(f)
+            return sat_to_graph(f)
+
+        f = tmp_path / "fig.cnf"
+        f.write_text(FIG_CNF)
+        monkeypatch.setattr(cli, "sat_to_graph", counted)
+        monkeypatch.setattr(constructions, "sat_to_graph", counted)
+        assert main(["from-cnf", str(f), "--decide", "--json"]) == 0
+        assert len(builds) == 1
+        assert json.loads(capsys.readouterr().out)["satisfiable"] is True
 
     def test_bad_cnf(self, tmp_path, capsys):
         f = tmp_path / "bad.cnf"
@@ -654,6 +669,27 @@ def test_declared_count_over_the_limit_exits_before_allocation(command, name, te
     done = _run_capped([*command, str(f)])
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"error: {order} vertices exceeds the limit of 1000000\n"
+
+
+def test_over_limit_backbone_is_refused_before_the_edge_list(tmp_path, monkeypatch):
+    """A backbone of 333,334 vertices expands to 1,000,002, over the vertex
+    limit: vedom expand exits 2 with the limit message, and expand_backbone
+    refuses before it lists an edge (shown under a lowered limit)."""
+    k = 333_334
+    f = tmp_path / "path.el"
+    f.write_text(f"n {k}\n" + "".join(f"{i} {i + 1}\n" for i in range(k - 1)))
+    done = _run_capped(["expand", str(f)])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: 1000002 vertices exceeds the limit of 1000000\n"
+
+    def forbidden(*args):
+        raise AssertionError("edge list built before the limit check")
+
+    backbone = pruefer_to_tree(100, [3] * 98)
+    monkeypatch.setattr(graph, "MAX_VERTICES", 299)
+    monkeypatch.setattr(Graph, "from_edges", forbidden)
+    with pytest.raises(ValueError, match="^300 vertices exceeds the limit of 299$"):
+        expand_backbone(backbone)
 
 
 def test_gadget_edge_count_over_the_limit_exits_before_the_build(tmp_path):

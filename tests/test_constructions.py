@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,32 @@ class TestSatDecide:
         monkeypatch.setattr(constructions, "sat_to_graph", forbidden)
         with pytest.raises(InstanceTooLargeError, match="gadget has 44 vertices"):
             sat_decide_via_graph(CnfInstance(7, ((1, 2, 3),)))
+
+    def test_gadget_decides_like_the_truth_table_on_seeded_formulas(self):
+        """The bounded oracle finds an independent minimal set of size 2n on
+        the gadget exactly when the formula is satisfiable, and so does the
+        per-variable search, on 23 seeded formulas of 3 or 4 variables, the
+        all-sign-patterns formula, and every sign pattern over variables 2-4
+        of four with one clause on variable 1."""
+        rng = random.Random(20261019)
+        patterns = itertools.product((2, -2), (3, -3), (4, -4))
+        formulas = [UNSAT_ALL_PATTERNS, CnfInstance(4, ((1, 2, 3), *patterns))]
+        while len(formulas) < 25:
+            n = rng.choice((3, 4))
+            clauses = [
+                tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3))
+                for _ in range(rng.randint(1, 8 if n == 3 else 15))
+            ]
+            formulas.append(CnfInstance(n, tuple(clauses)))
+        verdicts = []
+        for f in formulas:
+            n = f.variable_count
+            report = oracle_report(sat_to_graph(f).graph, size_bound=2 * n)
+            verdict = sat_decide_by_truth_table(f)
+            assert sat_decide_via_graph(f) is verdict
+            assert (report.i_ve == 2 * n) is verdict
+            verdicts.append((n, verdict))
+        assert {(3, True), (3, False), (4, True), (4, False)} <= set(verdicts)
 
     @given(cnf_instances())
     @settings(max_examples=40, deadline=None)

@@ -277,6 +277,15 @@ def test_bounded_oracle_matches_cover_generation_on_sat_gadgets():
     assert without_independent == 1
 
 
+def test_gadget_equals_checked_build():
+    """sat_to_graph builds unchecked; its graph is the one the checked
+    Graph.from_edges builds from the same edges."""
+    for f in _GADGET_FORMULAS:
+        g = sat_to_graph(f).graph
+        assert g == Graph.from_edges(g.n, g.edges)
+        assert g == Graph.from_edges(g.n, [(b, a) for a, b in reversed(g.edges)])
+
+
 def _random_graphs(count: int = 300, seed: int = 20251021, max_n: int = 14) -> list[Graph]:
     """Graphs of 0 to max_n vertices, each edge present with a probability
     drawn per graph, so sparse trees-like and dense graphs both occur."""
@@ -300,7 +309,8 @@ def _report_or_error(report, g, bound):
 def test_streamed_report_matches_reference_on_random_graphs():
     """Full and bounded reports, witnesses included; a bound below gamma_ve
     raises the same error in both.  At bound gamma_ve the last pick must
-    complete the cover."""
+    complete the cover, and at gamma_ve + 1 the packing prune binds on the
+    picks before it."""
     graphs = _random_graphs()
     verdicts = []
     bounded = []
@@ -309,7 +319,7 @@ def test_streamed_report_matches_reference_on_random_graphs():
         assert rep.to_json_dict() == reference.oracle_report(g).to_json_dict()
         assert is_well_ve_dominated(g) == rep.is_well_ve_dominated
         verdicts.append(rep.is_well_ve_dominated)
-        for bound in (0, 1, 2, 3, rep.gamma_ve):
+        for bound in (0, 1, 2, 3, rep.gamma_ve, rep.gamma_ve + 1):
             got = _report_or_error(oracle_report, g, bound)
             assert got == _report_or_error(reference.oracle_report, g, bound)
             bounded.append("error" if isinstance(got, str) else got["i_ve"] is None)
