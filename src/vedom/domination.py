@@ -174,8 +174,9 @@ def _search(
         candidates = (closed[a] | closed[b]) & ~banned
         room = bound - len(private) - 1  # picks left after this one
         # the uncovered packing edges, when they outnumber room: a vertex
-        # that leaves all of them uncovered cannot lead to a cover
-        need = rem & pack if (rem & pack).bit_count() > room else 0
+        # that leaves all of them uncovered cannot lead to a cover.  Testing
+        # pack first keeps the count out of full mode.
+        need = rem & pack if pack and (rem & pack).bit_count() > room else 0
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit
