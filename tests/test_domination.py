@@ -367,8 +367,8 @@ def _search_calls(call) -> int:
 def test_size_bound_prunes_with_the_packing(f, calls):
     """At bound 2n the gadget's packing is its 2n pendant path edges, one
     per triple {x, y, u} and {u', w, z}, and a branch whose picks left
-    cannot cover the uncovered ones is cut.  Without the packing the search
-    made 3,939 and 920 calls; the sets are those of full mode."""
+    cannot cover the uncovered ones is cut.  A search without the packing
+    makes 3,939 and 920 calls; the sets are those of full mode."""
     g = sat_to_graph(f).graph
     bound = 2 * f.variable_count
     sets = []
