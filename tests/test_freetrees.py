@@ -25,6 +25,12 @@ from tests.strategies import relabeled, star
 ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
 
 
+def _read(seq: list[int], n: int) -> tuple[list[int], int]:
+    """The level-2 starts and the largest child subtree, read off seq."""
+    ends = [i for i, lvl in enumerate(seq) if lvl == 2] + [n]
+    return ends[:-1], max(b - a for a, b in zip(ends, ends[1:]))
+
+
 class TestRootedSequences:
     def test_counts(self):
         for n, expected in ROOTED_TREE_COUNTS.items():
@@ -48,22 +54,38 @@ class TestRootedSequences:
         and the sequence is kept exactly when it is the canonical form."""
         two_centroid = 0
         for n in range(2, 15):
-            for seq, starts, big in _sequences(n):
-                ends = [i for i, lvl in enumerate(seq) if lvl == 2] + [n]
-                assert starts == ends[:-1]
-                gaps = {a: b - a for a, b in zip(ends, ends[1:])}
-                assert big == max(gaps.values())
+            for seq, starts, big in _sequences(n, skip=False):
+                assert (starts, big) == _read(seq, n)
                 if 2 * big != n:
                     continue
                 two_centroid += 1
                 g = level_sequence_to_graph(seq)
-                other = next(a for a, gap in gaps.items() if 2 * gap == n)
+                ends = starts + [n]
+                other = next(a for a, b in zip(ends, ends[1:]) if 2 * (b - a) == n)
                 assert centroids(g) == [0, other]
                 rerooted = _rerooted(seq, starts, n)
                 assert tuple(rerooted) == canonical_rooted_sequence(g, other)
                 assert (seq >= rerooted) == (canonical_form(g) == tuple(seq))
         # a subtree of n/2 vertices joined to a root with n/2 - 1 more below it
         assert two_centroid == sum(ROOTED_TREE_COUNTS[k] ** 2 for k in range(1, 8))
+
+    def test_skip_drops_exactly_the_sequences_with_a_heavy_first_subtree(self):
+        """The skipping generator yields the full one's sequences, in order,
+        minus those whose first child subtree has more than n/2 vertices,
+        each with the starts and largest subtree read afresh."""
+        for n in range(2, 15):
+            light = []
+            for seq, _, _ in _sequences(n, skip=False):
+                first = (_read(seq, n)[0][1:] + [n])[0] - 1
+                if 2 * first <= n:
+                    light.append(tuple(seq))
+            skipped = []
+            for seq, starts, big in _sequences(n, skip=True):
+                assert (starts, big) == _read(seq, n)
+                skipped.append(tuple(seq))
+            assert skipped == light
+        assert sum(1 for _ in _sequences(12, skip=True)) == 759
+        assert sum(1 for _ in _sequences(15, skip=True)) == 8810
 
 
 class TestFreeTreeEnumeration:
