@@ -148,7 +148,10 @@ def _search(
     after it, and, when the uncovered packing edges outnumber those picks,
     only when it dominates one of them.  A branch cut this way holds no
     cover within the bound, so the visits, their order and any early stop
-    are those of the search without the packing.  Full mode builds none.
+    are those of the search without the packing.  A packing larger than
+    the bound rules out every cover, and no search is made; one that fits
+    keeps fitting, as the count rule leaves at most room + 1 uncovered
+    packing edges at every node.  Full mode builds none.
     """
     _check_guard(g.n, size_bound, guard)
     edges = g.edges
@@ -199,7 +202,7 @@ def _search(
         return False
 
     try:
-        if bound:
+        if bound and pack.bit_count() <= bound:
             search(0, 0, 0, (), True)
     finally:
         del search  # search refers to itself through its closure cell: break that cycle

@@ -374,3 +374,16 @@ def test_size_bound_prunes_with_the_packing(f, calls):
     sets = []
     assert _search_calls(lambda: sets.extend(enumerate_minimal_ve_dominating_sets(g, bound))) == calls
     assert sets == [s for s in enumerate_minimal_ve_dominating_sets(g, guard=40) if s.bit_count() <= bound]
+
+
+def test_packing_larger_than_the_bound_makes_no_search():
+    """Below gamma_ve the figure gadget's 8 packing edges exceed the 7
+    picks of bound 2n - 1, so no set is searched for (687 calls without
+    this check) and the bounded report finds none."""
+    g = sat_to_graph(FIGURE_CNF).graph
+
+    def report():
+        with pytest.raises(ValueError, match="no minimal ve-dominating set of size <= 7"):
+            oracle_report(g, size_bound=7)
+
+    assert _search_calls(report) == 0
