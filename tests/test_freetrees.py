@@ -76,7 +76,7 @@ class TestRootedSequences:
         for n in range(2, 15):
             light = []
             for seq, _, _ in _sequences(n, skip=False):
-                first = (_read(seq, n)[0][1:] + [n])[0] - 1
+                first = next((i for i in range(2, n) if seq[i] == 2), n) - 1
                 if 2 * first <= n:
                     light.append(tuple(seq))
             skipped = []
