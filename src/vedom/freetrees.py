@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graph import Graph, has_tree_size, traverse
+from .graph import _TREE, Graph, has_tree_size, traverse
 
 MAX_ENUMERATION_ORDER = 18
 
@@ -89,18 +89,25 @@ def rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def level_sequence_to_graph(seq: Iterable[int]) -> Graph:
-    """Tree from a level sequence: each vertex attaches to the most recent
-    earlier vertex one level up.  A parent comes before its children, so
-    every (parent, child) pair is a valid (min, max) pair and the graph
-    needs no validation."""
+    """Tree from a level sequence: each vertex after the first attaches to
+    the most recent earlier vertex one level up (ValueError names a vertex
+    with none).  Parents come before children, so the (parent, child) pairs
+    are valid (min, max) pairs, and a non-empty sequence gives a tree, which
+    is recorded for is_tree."""
     levels = list(seq)
     pairs = []
     last_at_level: dict[int, int] = {}
-    for v, lvl in enumerate(levels):
-        if v > 0:
-            pairs.append((last_at_level[lvl - 1], v))
-        last_at_level[lvl] = v
-    return Graph._build(len(levels), pairs)
+    try:
+        for v, lvl in enumerate(levels):
+            if v > 0:
+                pairs.append((last_at_level[lvl - 1], v))
+            last_at_level[lvl] = v
+    except KeyError:
+        raise ValueError(f"vertex {v} has no earlier vertex at level {lvl - 1}") from None
+    g = Graph._build(len(levels), pairs)
+    if levels:
+        g.__dict__[_TREE] = True
+    return g
 
 
 def centroids(g: Graph) -> list[int]:

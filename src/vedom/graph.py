@@ -18,6 +18,7 @@ class GraphFormatError(ValueError):
 
 
 MAX_VERTICES = 10**6  # the largest order (or gadget edge count) a file may ask for
+_TREE = "_is_tree"  # the key of is_tree's kept answer in a Graph's __dict__
 
 
 def check_order(n: int, what: str = "vertices") -> None:
@@ -47,7 +48,8 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     adj[v] is the sorted tuple of neighbors of v; edges is the canonical
-    lexicographically sorted tuple of (min, max) pairs.
+    lexicographically sorted tuple of (min, max) pairs.  Graphs are
+    immutable, so is_tree keeps its answer on one, outside the fields.
     """
 
     n: int
@@ -89,6 +91,9 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return Graph(n, tuple(map(tuple, nbrs)), canon)
+
+    def __getstate__(self) -> dict:
+        return {"n": self.n, "adj": self.adj, "edges": self.edges}
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -229,8 +234,11 @@ def has_tree_size(n: int, edge_count: int) -> bool:
 
 
 def is_tree(g: Graph) -> bool:
-    """Connected with exactly n-1 edges; the empty graph is not a tree."""
-    return has_tree_size(g.n, len(g.edges)) and len(traverse(g, 0)[0]) == g.n
+    """Connected with exactly n-1 edges; the empty graph is not a tree.  The
+    answer, or a tree builder's record of it, is kept on g: one walk at most."""
+    if _TREE not in g.__dict__:
+        g.__dict__[_TREE] = has_tree_size(g.n, len(g.edges)) and len(traverse(g, 0)[0]) == g.n
+    return g.__dict__[_TREE]
 
 
 def require_tree(g: Graph, task: str) -> None:

@@ -136,13 +136,16 @@ def random_leaf_duplicated_tree(rng: random.Random, max_order: int) -> Graph:
     """Random tree with random twin leaves added, capped at max_order."""
     base_n = rng.randint(2, max(2, max_order - 2))
     g = pruefer_to_tree(base_n, [rng.randrange(base_n) for _ in range(base_n - 2)])
-    while g.n < max_order and rng.random() < 0.7:
-        leaves = [v for v in range(g.n) if g.degree(v) == 1]
-        if not leaves:
-            break
-        support = g.adj[rng.choice(leaves)][0]
-        g = Graph.from_edges(g.n + 1, list(g.edges) + [(support, g.n)])
-    return g
+    leaves = [v for v, a in enumerate(g.adj) if len(a) == 1]
+    support = [a[0] for a in g.adj]  # a leaf's only neighbour
+    while len(support) < max_order and rng.random() < 0.7:
+        s = support[rng.choice(leaves)]
+        if s in leaves:  # on P_2 the support is a leaf too, and stops being one
+            leaves.remove(s)
+        leaves.append(len(support))
+        support.append(s)
+    added = range(base_n, len(support))  # each added leaf hangs on its recorded support
+    return Graph.from_edges(len(support), [*g.edges, *((support[v], v) for v in added)])
 
 
 def lemma_suite(

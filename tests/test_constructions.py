@@ -227,6 +227,42 @@ class TestSatDecide:
             verdicts.append((n, verdict))
         assert {(3, True), (3, False), (4, True), (4, False)} <= set(verdicts)
 
+    def test_gadget_is_well_ve_covered_at_bound_2n_plus_1_exactly_when_unsatisfiable(self):
+        """On seeded satisfiable and unsatisfiable formulas over 3 and 4
+        variables, the report at bound 2n + 1 has is_well_ve_covered True
+        exactly when the truth table finds no satisfying assignment.  This
+        is relative to the bound: the report sees only the minimal sets of
+        at most 2n + 1 vertices, so the gadget's i_ve = beta_ve is shown
+        among those, not among all minimal sets.  Here a satisfiable
+        formula gives independent minimal sets of sizes 2n and 2n + 1, an
+        unsatisfiable one only of size 2n + 1.  Unsatisfiable formulas over
+        3 variables hold every sign pattern, so those are shuffled copies
+        of the all-sign-patterns formula."""
+        rng = random.Random(20261020)
+        formulas = [UNSAT_ALL_PATTERNS]
+        for _ in range(2):
+            clauses = [tuple(rng.sample(c, 3)) for c in UNSAT_ALL_PATTERNS.clauses]
+            rng.shuffle(clauses)
+            formulas.append(CnfInstance(3, tuple(clauses)))
+        wanted = {(3, True): 3, (4, True): 2, (4, False): 3}
+        while any(wanted.values()):
+            n = rng.choice((3, 4))
+            clauses = tuple(
+                tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3))
+                for _ in range(rng.randint(1, 8) if n == 3 else rng.randint(11, 14))
+            )
+            f = CnfInstance(n, clauses)
+            key = (n, sat_decide_by_truth_table(f))
+            if wanted.get(key):
+                wanted[key] -= 1
+                formulas.append(f)
+        for f in formulas:
+            n = f.variable_count
+            report = oracle_report(sat_to_graph(f).graph, size_bound=2 * n + 1)
+            satisfiable = sat_decide_by_truth_table(f)
+            assert report.is_well_ve_covered is not satisfiable
+            assert (report.i_ve, report.beta_ve) == (2 * n + 1 - satisfiable, 2 * n + 1)
+
     @given(cnf_instances())
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_truth_table(self, f):

@@ -16,7 +16,7 @@ from vedom.freetrees import (
     trees_isomorphic,
 )
 from vedom.constructions import path_graph
-from vedom.graph import Graph, is_tree
+from vedom.graph import _TREE, Graph, is_tree
 
 from tests import reference
 from tests.reference import labeled_trees
@@ -88,6 +88,22 @@ class TestRootedSequences:
         assert sum(1 for _ in _sequences(15, skip=True)) == 8810
 
 
+class TestLevelSequenceToGraph:
+    @pytest.mark.parametrize(
+        "seq, message",
+        [([1, 3], "vertex 1 has no earlier vertex at level 2"),
+         ([1, 2, 0], "vertex 2 has no earlier vertex at level -1")],
+    )
+    def test_a_vertex_with_no_parent_is_named(self, seq, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            level_sequence_to_graph(seq)
+
+    def test_empty_sequence_is_the_unrecorded_empty_graph(self):
+        g = level_sequence_to_graph([])
+        assert g == Graph(0, (), ()) and _TREE not in vars(g)
+        assert not is_tree(g)
+
+
 class TestFreeTreeEnumeration:
     def test_counts_match_known_sequence(self):
         for n in range(1, 16):
@@ -100,7 +116,7 @@ class TestFreeTreeEnumeration:
     def test_all_outputs_are_trees_of_right_order(self):
         for n in range(1, 9):
             for t in enumerate_free_trees(n):
-                assert t.n == n and is_tree(t)
+                assert t.n == n and is_tree(Graph(t.n, t.adj, t.edges))  # not the recorded answer
 
     def test_no_duplicates_up_to_ten(self):
         for n in range(1, 11):

@@ -1,4 +1,6 @@
 import os
+import pickle
+import random
 import resource
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import vedom
 
 from vedom import graph as graph_module
 from vedom.constructions import path_graph
+from vedom.freetrees import enumerate_free_trees, level_sequence_to_graph, rooted_level_sequences
 from vedom.graph import (
     Graph,
     GraphFormatError,
@@ -27,6 +30,7 @@ from vedom.graph import (
     serialize_edge_list,
     traverse,
 )
+from vedom.reduction import reduce_graph
 
 from tests.strategies import graphs, relabeled, star
 
@@ -184,6 +188,62 @@ class TestIsTree:
         require_tree(path_graph(3), "sorting")
         with pytest.raises(NotATreeError, match="^sorting requires a tree$"):
             require_tree(Graph.from_edges(4, [(0, 1), (2, 3)]), "sorting")
+
+
+def _kept_answer_cases() -> list[Graph]:
+    """Every free tree and every rooted level sequence's tree up to order
+    12, the reduced graph of each, and seeded random graphs (forests,
+    disconnected and cyclic ones among them) with their reduced graphs."""
+    built = [t for n in range(1, 13) for t in enumerate_free_trees(n)]
+    built += [level_sequence_to_graph(s) for n in range(1, 13) for s in rooted_level_sequences(n)]
+    rng = random.Random(18)
+    drawn = [Graph.from_edges(0, []), path_graph(1), C4]
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        drawn.append(Graph.from_edges(n, rng.sample(pairs, min(len(pairs), rng.randint(0, n)))))
+    graphs = built + drawn
+    return graphs + [reduce_graph(g).reduced_graph for g in graphs]
+
+
+C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+class TestKeptTreeAnswer:
+    """is_tree keeps its answer on the graph, and the tree builders record
+    it; the kept answer must be the traversal definition's, and must not
+    show in equality, hashing, repr or pickles."""
+
+    def test_kept_answer_is_the_traversal_definition(self):
+        cases = _kept_answer_cases()
+        kinds = set()
+        for g in cases:
+            fresh = Graph(g.n, g.adj, g.edges)
+            expected = has_tree_size(fresh.n, len(fresh.edges)) and len(traverse(fresh, 0)[0]) == fresh.n
+            assert is_tree(g) is expected and is_tree(g) is expected
+            assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+            data = pickle.dumps(g)
+            assert data == pickle.dumps(fresh)
+            assert graph_module._TREE not in vars(pickle.loads(data))
+            kinds.add((g.n > 0 and len(traverse(g, 0)[0]) == g.n, len(g.edges) - g.n + 1))
+        # connected and disconnected graphs with too few, the right and too many edges
+        assert {(True, 0), (True, 1), (False, 0), (False, -1)} <= kinds
+
+    def test_builders_record_trees_before_anyone_asks(self):
+        for n in range(1, 13):
+            for t in [*enumerate_free_trees(n), *map(level_sequence_to_graph, rooted_level_sequences(n))]:
+                assert vars(t)[graph_module._TREE] is True
+                assert vars(reduce_graph(t).reduced_graph)[graph_module._TREE] is True
+
+    def test_only_a_known_tree_passes_its_record_to_the_reduction(self):
+        p2 = reduce_graph(C4).reduced_graph  # C4's opposite vertices are twins
+        assert p2 == path_graph(2) and graph_module._TREE not in vars(p2)
+        parsed = parse_edge_list(serialize_edge_list(path_graph(7)))
+        assert graph_module._TREE not in vars(reduce_graph(parsed).reduced_graph)
+        assert is_tree(parsed)
+        assert vars(reduce_graph(parsed).reduced_graph)[graph_module._TREE] is True
+        assert not is_tree(C4)
+        assert graph_module._TREE not in vars(reduce_graph(C4).reduced_graph)
 
 
 class TestComponents:

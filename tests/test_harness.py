@@ -15,6 +15,8 @@ from vedom.harness import (
     random_leaf_duplicated_tree,
 )
 
+from tests import reference
+
 
 class TestCrossValidate:
     def test_no_mismatches_up_to_nine(self):
@@ -88,6 +90,23 @@ class TestRandomLeafDuplication:
         a = [random_leaf_duplicated_tree(random.Random(3), 12).edges for _ in range(5)]
         b = [random_leaf_duplicated_tree(random.Random(3), 12).edges for _ in range(5)]
         assert a == b
+
+    def test_same_draws_and_trees_as_the_rebuilding_sampler(self):
+        """Two identically seeded generators, one through the earlier
+        sampler that rebuilds its graph after every added leaf: after each
+        call the trees are equal and so are the generators' states.  Max
+        order 3 always starts from P_2, whose chosen leaf's support is the
+        other leaf, and some samples there add one."""
+        for max_order in range(2, 16):
+            ours, theirs = random.Random(max_order), random.Random(max_order)
+            orders = set()
+            for _ in range(2000):
+                g = random_leaf_duplicated_tree(ours, max_order)
+                assert g == reference.random_leaf_duplicated_tree(theirs, max_order)
+                assert ours.getstate() == theirs.getstate()
+                orders.add(g.n)
+            if max_order == 3:
+                assert orders == {2, 3}
 
 
 def test_report_json_shape():

@@ -9,7 +9,14 @@ import vedom.recognizer
 from vedom.constructions import expand_backbone, path_graph
 from vedom.domination import is_minimal_ve_dominating, oracle_report
 from vedom.freetrees import enumerate_free_trees, pruefer_to_tree, trees_isomorphic
-from vedom.graph import Graph, bit_list, mask_from
+from vedom.graph import (
+    Graph,
+    NotATreeError,
+    bit_list,
+    mask_from,
+    parse_edge_list,
+    serialize_edge_list,
+)
 from vedom.recognizer import (
     InvalidPartitionError,
     Refutation,
@@ -202,6 +209,60 @@ class TestNoQuadraticWork:
         monkeypatch.setattr(vedom.recognizer, "traverse", counted)
         assert find_forbidden_configuration(t) is not None
         assert len(calls) <= 1
+
+
+def _branch(r) -> str:
+    """The branch of recognize's decision chain that r came from."""
+    if r.case != "rejected":
+        return r.case
+    if r.reduced_tree.n < 6 or r.reduced_tree.n % 3:
+        return "order-not-3n"
+    return "partition-refuted" if r.refutation.reason.startswith("forbidden-path") else "other"
+
+
+class TestTreeCheckedOnce:
+    """recognize walks a tree for its tree check at most once.  An
+    enumerated tree comes with the check recorded by its builder, so it is
+    not walked at all; a parsed tree is walked by recognize's own check, and
+    its reduced tree inherits the answer for unit_partition and
+    find_forbidden_configuration."""
+
+    def test_each_branch_walks_an_enumerated_tree_never_and_a_parsed_one_once(self, monkeypatch):
+        examples = {}  # per branch, a tree that the reduction shrinks and one it keeps
+        for n in range(1, 10):
+            for t in enumerate_free_trees(n):
+                r = recognize(t)
+                examples.setdefault((_branch(r), r.reduced_tree.n < n), t)
+        branches = ("T1", "order-not-3n", "partition-refuted", "T2")
+        assert {(b, shrunk) for b in branches for shrunk in (False, True)} <= set(examples)
+        walks = []
+        original = vedom.graph.traverse
+
+        def counted(g, *args, **kwargs):
+            walks.append(g)
+            return original(g, *args, **kwargs)
+
+        monkeypatch.setattr(vedom.graph, "traverse", counted)
+        for (branch, _), t in examples.items():
+            walks.clear()
+            assert _branch(recognize(t)) == branch
+            assert walks == [], branch
+            parsed = parse_edge_list(serialize_edge_list(t))
+            assert _branch(recognize(parsed)) == branch
+            assert len(walks) == 1 and walks[0] is parsed, branch
+
+    def test_direct_calls_on_a_non_tree_still_raise(self):
+        forest = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        c6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+        p = unit_partition(path_graph(6))
+        for g in (forest, c6):
+            for _ in range(2):  # the second time with the answer kept
+                with pytest.raises(NotATreeError):
+                    unit_partition(g)
+                with pytest.raises(NotATreeError):
+                    find_forbidden_configuration(g)
+                with pytest.raises(InvalidPartitionError):
+                    validate_unit_partition(g, p)
 
 
 class TestValidatePartition:
