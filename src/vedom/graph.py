@@ -49,7 +49,7 @@ class Graph:
 
     adj[v] is the sorted tuple of neighbors of v; edges is the canonical
     lexicographically sorted tuple of (min, max) pairs.  Graphs are
-    immutable, so is_tree keeps its answer on one, outside the fields.
+    immutable; is_tree keeps its answer outside the fields, so ==, hash and pickles ignore it.
     """
 
     n: int

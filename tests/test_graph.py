@@ -190,6 +190,9 @@ class TestIsTree:
             require_tree(Graph.from_edges(4, [(0, 1), (2, 3)]), "sorting")
 
 
+C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
 def _kept_answer_cases() -> list[Graph]:
     """Every free tree and every rooted level sequence's tree up to order
     12, the reduced graph of each, and seeded random graphs (forests,
@@ -197,16 +200,13 @@ def _kept_answer_cases() -> list[Graph]:
     built = [t for n in range(1, 13) for t in enumerate_free_trees(n)]
     built += [level_sequence_to_graph(s) for n in range(1, 13) for s in rooted_level_sequences(n)]
     rng = random.Random(18)
-    drawn = [Graph.from_edges(0, []), path_graph(1), C4]
+    drawn = [Graph.from_edges(0, []), path_graph(1), Graph.from_edges(4, C4_EDGES)]
     for _ in range(400):
         n = rng.randint(1, 9)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         drawn.append(Graph.from_edges(n, rng.sample(pairs, min(len(pairs), rng.randint(0, n)))))
     graphs = built + drawn
     return graphs + [reduce_graph(g).reduced_graph for g in graphs]
-
-
-C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 class TestKeptTreeAnswer:
@@ -226,7 +226,7 @@ class TestKeptTreeAnswer:
             assert data == pickle.dumps(fresh)
             assert graph_module._TREE not in vars(pickle.loads(data))
             kinds.add((g.n > 0 and len(traverse(g, 0)[0]) == g.n, len(g.edges) - g.n + 1))
-        # connected and disconnected graphs with too few, the right and too many edges
+        # trees, connected graphs with a cycle, and disconnected graphs with n - 1 and fewer edges
         assert {(True, 0), (True, 1), (False, 0), (False, -1)} <= kinds
 
     def test_builders_record_trees_before_anyone_asks(self):
@@ -236,14 +236,15 @@ class TestKeptTreeAnswer:
                 assert vars(reduce_graph(t).reduced_graph)[graph_module._TREE] is True
 
     def test_only_a_known_tree_passes_its_record_to_the_reduction(self):
-        p2 = reduce_graph(C4).reduced_graph  # C4's opposite vertices are twins
+        c4 = Graph.from_edges(4, C4_EDGES)
+        p2 = reduce_graph(c4).reduced_graph  # C4's opposite vertices are twins
         assert p2 == path_graph(2) and graph_module._TREE not in vars(p2)
         parsed = parse_edge_list(serialize_edge_list(path_graph(7)))
         assert graph_module._TREE not in vars(reduce_graph(parsed).reduced_graph)
         assert is_tree(parsed)
         assert vars(reduce_graph(parsed).reduced_graph)[graph_module._TREE] is True
-        assert not is_tree(C4)
-        assert graph_module._TREE not in vars(reduce_graph(C4).reduced_graph)
+        assert not is_tree(c4)  # a kept False passes nothing on either
+        assert graph_module._TREE not in vars(reduce_graph(c4).reduced_graph)
 
 
 class TestComponents:
