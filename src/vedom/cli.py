@@ -36,7 +36,6 @@ from .graph import (
     _parse_edge_list,
     bit_list,
     has_tree_size,
-    parse_edge_list,
     serialize_edge_list,
 )
 from .harness import ORACLE_SWEEP_MAX, cross_validate, lemma_suite
@@ -182,8 +181,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    with open(args.graph, "r", encoding="utf-8") as handle:
-        rmap = reduce_graph(parse_edge_list(handle.read()))
+    rmap = reduce_graph(Graph._build(*_read_edges(args.graph)))
     representative = {
         str(v): rmap.representatives[r] for v, r in enumerate(rmap.to_reduced)
     }

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from .domination import SIZE_BOUNDED_VERTEX_GUARD, InstanceTooLargeError, _masks
-from .graph import Graph, check_order, induced_delete, mask_from, require_tree, traverse
+from .graph import Graph, _induced, _reach, _tree, check_order, require_tree
 from .recognizer import (
     LABEL_BACKBONE,
     LABEL_LEAF,
@@ -261,15 +261,13 @@ def expand_backbone(r: Graph) -> tuple[Graph, UnitPartition]:
     for v in range(k):
         edges.append((v, k + v))
         edges.append((k + v, 2 * k + v))
-    t = Graph.from_edges(3 * k, edges)
+    t = _tree(Graph._build(3 * k, edges))  # tree and partition are valid by construction
     units = tuple((2 * k + v, k + v, v) for v in range(k))
     label = tuple(
         LABEL_BACKBONE if v < k else LABEL_SUPPORT if v < 2 * k else LABEL_LEAF
         for v in range(3 * k)
     )
-    partition = UnitPartition(units=units, label=label, backbone_edges=r.edges)
-    validate_unit_partition(t, partition)
-    return t, partition
+    return t, UnitPartition(units=units, label=label, backbone_edges=r.edges)
 
 
 def unit_cut_decompose(
@@ -284,17 +282,14 @@ def unit_cut_decompose(
     """
     validate_unit_partition(t, p)
     if edge is None:
-        body = Graph.from_edges(3, [(0, 1), (1, 2)])
+        body = path_graph(3)
         return [body for _ in p.units]
     e = (min(edge), max(edge))
     if e not in p.backbone_edges:
         raise ValueError(f"{edge} is not a backbone edge")
-    everything = (1 << t.n) - 1
-    sides = []
-    for start, other in (e, e[::-1]):
-        side, _ = traverse(t, start, set(range(t.n)) - {other})
-        sides.append(induced_delete(t, everything & ~mask_from(side))[0])
-    return sides
+    seen = [False] * t.n
+    seen[e[1]] = True  # each walk stays on its side of e: the first marks its side for the second
+    return [_tree(_induced(t, sorted(_reach(t, v, None, seen)))[0]) for v in e]
 
 
 def unit_cut_extend(
@@ -319,14 +314,14 @@ def unit_cut_extend(
     edges = list(t1.edges)
     edges += [(a + offset, b + offset) for a, b in t2.edges]
     edges.append((u, v + offset))
-    return Graph.from_edges(t1.n + t2.n, edges)
+    return _tree(Graph._build(t1.n + t2.n, edges))
 
 
 def path_graph(n: int) -> Graph:
     """The path on n vertices, 0 through n-1 in order."""
     if n < 1:
         raise ValueError("paths need at least one vertex")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return _tree(Graph._build(n, [(i, i + 1) for i in range(n - 1)]))
 
 
 def is_wvd_path(n: int) -> bool:

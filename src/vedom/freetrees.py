@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graph import _TREE, Graph, has_tree_size, traverse
+from .graph import Graph, _tree, has_tree_size, traverse
 
 MAX_ENUMERATION_ORDER = 18
 
@@ -105,9 +105,7 @@ def level_sequence_to_graph(seq: Iterable[int]) -> Graph:
     except KeyError:
         raise ValueError(f"vertex {v} has no earlier vertex at level {lvl - 1}") from None
     g = Graph._build(len(levels), pairs)
-    if levels:
-        g.__dict__[_TREE] = True
-    return g
+    return _tree(g) if levels else g
 
 
 def centroids(g: Graph) -> list[int]:
@@ -196,6 +194,10 @@ def _rerooted(seq: list[int], starts: list[int], n: int) -> list[int]:
 
 
 def pruefer_to_tree(n: int, seq: list[int]) -> Graph:
+    """The tree on n >= 2 vertices with Pruefer sequence seq, built from its
+    (min, max) pairs unchecked, since decoding gives a tree, and so recorded."""
+    if len(seq) != n - 2 or not all(0 <= v < n for v in seq):
+        raise ValueError(f"not a Pruefer sequence of a tree on {n} vertices")
     degree = [1] * n
     for v in seq:
         degree[v] += 1
@@ -207,7 +209,7 @@ def pruefer_to_tree(n: int, seq: list[int]) -> Graph:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-        edges.append((leaf, v))
+        edges.append((leaf, v) if leaf < v else (v, leaf))
         degree[leaf] -= 1
         degree[v] -= 1
         if degree[v] == 1 and v < ptr:
@@ -216,4 +218,4 @@ def pruefer_to_tree(n: int, seq: list[int]) -> Graph:
             leaf = -1
     last = [v for v in range(n) if degree[v] == 1]
     edges.append((last[0], last[1]))
-    return Graph.from_edges(n, edges)
+    return _tree(Graph._build(n, edges))

@@ -241,6 +241,13 @@ def is_tree(g: Graph) -> bool:
     return g.__dict__[_TREE]
 
 
+def _tree(g: Graph, like: Graph | None = None) -> Graph:
+    """g, recorded as a tree for is_tree; with like, only if like is recorded as one."""
+    if like is None or like.__dict__.get(_TREE):
+        g.__dict__[_TREE] = True
+    return g
+
+
 def require_tree(g: Graph, task: str) -> None:
     """Raise NotATreeError(task) unless g is a tree."""
     if not is_tree(g):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .constructions import unit_cut_decompose
 from .domination import is_well_ve_dominated, oracle_report
 from .freetrees import enumerate_free_trees, pruefer_to_tree
-from .graph import Graph, connected_components, induced_delete, mask_from, serialize_edge_list
+from .graph import Graph, _tree, connected_components, induced_delete, mask_from, serialize_edge_list
 from .recognizer import find_forbidden_configuration, recognize
 from .reduction import reduce_graph
 
@@ -145,7 +145,7 @@ def random_leaf_duplicated_tree(rng: random.Random, max_order: int) -> Graph:
         leaves.append(len(support))
         support.append(s)
     added = range(base_n, len(support))  # each added leaf hangs on its recorded support
-    return Graph.from_edges(len(support), [*g.edges, *((support[v], v) for v in added)])
+    return _tree(Graph._build(len(support), [*g.edges, *((support[v], v) for v in added)]))
 
 
 def lemma_suite(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import _TREE, Graph, _induced
+from .graph import Graph, _induced, _tree
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,8 @@ def reduce_graph(g: Graph) -> ReductionMap:
     reps = list(first.values())
     # with no collapse rep is the identity, which renames nothing
     reduced, new = (g, rep) if len(reps) == g.n else _induced(g, reps)
-    if g.__dict__.get(_TREE):  # a tree's twins are leaves on one support
-        reduced.__dict__[_TREE] = True
     return ReductionMap(
         representatives=tuple(reps),
-        reduced_graph=reduced,
+        reduced_graph=_tree(reduced, like=g),  # a tree's twins are leaves on one support
         to_reduced=tuple(map(new.__getitem__, rep)),
     )

@@ -12,6 +12,7 @@ that sorted the minimal sets and tested each for independence afterwards,
 and the certificate check that counts dominators through per-vertex edge
 masks and tests independence pair by pair, the reduction that deleted every
 non-representative and rebuilt the rest through ``Graph.from_edges``, the
+unit-cut split that walked each side into a mask and deleted the rest, the
 two-pass edge-list parser, the reducedness test that grouped every
 neighbourhood class, the unit partition built on vertex sets with a
 traversal for backbone connectivity, the recognizer that built its result
@@ -465,6 +466,18 @@ def induced_delete(g: Graph, removed: int) -> tuple[Graph, dict[int, int]]:
         if u in remap and v in remap
     ]
     return Graph.from_edges(len(keep), edges), remap
+
+
+def unit_cut_sides(t: Graph, e: tuple[int, int]) -> list[Graph]:
+    """``unit_cut_decompose``'s earlier split at the backbone edge e, lower
+    endpoint first: each side walked with the other endpoint barred, turned
+    into a mask, and cut out of t by deleting every vertex outside it."""
+    everything = (1 << t.n) - 1
+    sides = []
+    for start, other in (e, e[::-1]):
+        side, _ = traverse(t, start, set(range(t.n)) - {other})
+        sides.append(induced_delete(t, everything & ~mask_from(side))[0])
+    return sides
 
 
 def qualifying_cut_edges(t: Graph) -> list[tuple[int, int]]:

@@ -674,7 +674,8 @@ def test_declared_count_over_the_limit_exits_before_allocation(command, name, te
 def test_over_limit_backbone_is_refused_before_the_edge_list(tmp_path, monkeypatch):
     """A backbone of 333,334 vertices expands to 1,000,002, over the vertex
     limit: vedom expand exits 2 with the limit message, and expand_backbone
-    refuses before it lists an edge (shown under a lowered limit)."""
+    refuses with its own check, before it builds the output (shown under a
+    lowered limit, where the builder's check would give the same message)."""
     k = 333_334
     f = tmp_path / "path.el"
     f.write_text(f"n {k}\n" + "".join(f"{i} {i + 1}\n" for i in range(k - 1)))
@@ -683,11 +684,11 @@ def test_over_limit_backbone_is_refused_before_the_edge_list(tmp_path, monkeypat
     assert done.stderr == "error: 1000002 vertices exceeds the limit of 1000000\n"
 
     def forbidden(*args):
-        raise AssertionError("edge list built before the limit check")
+        raise AssertionError("output built before the limit check")
 
     backbone = pruefer_to_tree(100, [3] * 98)
     monkeypatch.setattr(graph, "MAX_VERTICES", 299)
-    monkeypatch.setattr(Graph, "from_edges", forbidden)
+    monkeypatch.setattr(Graph, "_build", staticmethod(forbidden))
     with pytest.raises(ValueError, match="^300 vertices exceeds the limit of 299$"):
         expand_backbone(backbone)
 
