@@ -289,7 +289,7 @@ def unit_cut_decompose(
         raise ValueError(f"{edge} is not a backbone edge")
     seen = [False] * t.n
     seen[e[1]] = True  # each walk stays on its side of e: the first marks its side for the second
-    return [_tree(_induced(t, sorted(_reach(t, v, None, seen)))[0]) for v in e]
+    return [_tree(_induced(t, sorted(_reach(t, v, seen)))[0]) for v in e]
 
 
 def unit_cut_extend(

@@ -319,9 +319,3 @@ def oracle_report(
         is_well_ve_covered=i_ve == beta_ve if ind_sizes else None,
         enumeration_mode=mode,
     )
-
-
-def domination_chain_check(g: Graph, guard: int = FULL_MODE_GUARD) -> bool:
-    """gamma_ve <= i_ve <= beta_ve <= big_gamma_ve, per the oracle report."""
-    r = oracle_report(g, guard=guard)
-    return r.gamma_ve <= r.i_ve <= r.beta_ve <= r.big_gamma_ve

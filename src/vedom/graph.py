@@ -176,36 +176,30 @@ def serialize_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def traverse(g: Graph, root: int, allowed: set[int] | None = None) -> tuple[list[int], list[int]]:
+def traverse(g: Graph, root: int) -> tuple[list[int], list[int]]:
     """Breadth-first search of g from root.
 
-    Returns (order, parent).  order lists every vertex reachable from root,
-    moving only through members of ``allowed`` when it is given (root itself
-    is always included); each vertex appears after its parent, so a forward
-    pass over order sees parents before children and a reversed pass sees
-    children before parents.  parent[v] is the vertex that reached v, and -1
-    for root and for every vertex not reached.
+    Returns (order, parent).  order lists every vertex reachable from root;
+    each vertex appears after its parent, so a forward pass over order sees
+    parents before children and a reversed pass sees children before
+    parents.  parent[v] is the vertex that reached v, and -1 for root and
+    for every vertex not reached.
     """
     parent = [-1] * g.n
-    return _reach(g, root, allowed, [False] * g.n, parent), parent
+    return _reach(g, root, [False] * g.n, parent), parent
 
 
-def _reach(
-    g: Graph,
-    root: int,
-    allowed: set[int] | None,
-    seen: list[bool],
-    parent: list[int] | None = None,
-) -> list[int]:
+def _reach(g: Graph, root: int, seen: list[bool], parent: list[int] | None = None) -> list[int]:
     """The breadth-first order from root over vertices not yet marked in
     seen, marking each one and, when a parent list is given, recording its
     parent.  Callers that scan many roots share seen, so each scan allocates
-    it once."""
+    it once; a caller keeps the walk off some vertices by marking them
+    first."""
     seen[root] = True
     order = [root]
     for v in order:  # order doubles as the queue: appends extend the loop
         for u in g.adj[v]:
-            if not seen[u] and (allowed is None or u in allowed):
+            if not seen[u]:
                 seen[u] = True
                 if parent is not None:
                     parent[u] = v
@@ -216,7 +210,7 @@ def _reach(
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, ordered by smallest member."""
     seen = [False] * g.n
-    return [mask_from(_reach(g, start, None, seen)) for start in range(g.n) if not seen[start]]
+    return [mask_from(_reach(g, start, seen)) for start in range(g.n) if not seen[start]]
 
 
 class NotATreeError(ValueError):

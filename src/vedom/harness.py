@@ -13,11 +13,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .constructions import unit_cut_decompose
 from .domination import is_well_ve_dominated, oracle_report
 from .freetrees import enumerate_free_trees, pruefer_to_tree
-from .graph import Graph, _tree, connected_components, induced_delete, mask_from, serialize_edge_list
+from .graph import Graph, _induced, _reach, _tree, serialize_edge_list
 from .recognizer import find_forbidden_configuration, recognize
 from .reduction import reduce_graph
 
@@ -66,12 +67,10 @@ def _check_tree(t: Graph, lemmas: bool) -> tuple[bool, bool, list[tuple[str, str
         if t.n <= ORACLE_HEAVY_MAX and not oracle_report(t).is_well_ve_covered:
             fail(("wvd-implies-wvc", _graph_tag(t)))
         for u, v in _qualifying_cut_edges(t):
-            remainder, _ = induced_delete(t, mask_from((u, v)))
-            if not _all_components_wvd(remainder):
+            if not all(map(is_well_ve_dominated, _components_without(t, (u, v)))):
                 fail(("cut-edge-components", f"{_graph_tag(t)} edge ({u},{v})"))
         for c in _qualifying_cut_vertices(t):
-            remainder, _ = induced_delete(t, 1 << c)
-            if not _all_components_wvd(remainder):
+            if not all(map(is_well_ve_dominated, _components_without(t, (c,)))):
                 fail(("cut-vertex-components", f"{_graph_tag(t)} vertex {c}"))
     if result.case == "T2":
         _check_unit_cut_additivity(result.reduced_tree, result, fail)
@@ -180,12 +179,15 @@ def lemma_suite(
     return _sweep(report, lemmas=True)
 
 
-def _all_components_wvd(g: Graph) -> bool:
-    for comp in connected_components(g):
-        sub, _ = induced_delete(g, ((1 << g.n) - 1) & ~comp)
-        if not is_well_ve_dominated(sub):
-            return False
-    return True
+def _components_without(t: Graph, cut: tuple[int, ...]) -> Iterator[Graph]:
+    """The components of t - cut, by smallest member, each renamed in
+    order: one walk each over a seen list on which cut is marked first."""
+    seen = [False] * t.n
+    for c in cut:
+        seen[c] = True
+    for start in range(t.n):
+        if not seen[start]:
+            yield _induced(t, sorted(_reach(t, start, seen)))[0]
 
 
 def _check_unit_cut_additivity(t2: Graph, result, fail) -> None:

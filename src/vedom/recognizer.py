@@ -53,14 +53,8 @@ class UnitPartition:
     label: tuple[str, ...]
     backbone_edges: tuple[tuple[int, int], ...]
 
-    def leaf_set(self) -> int:
-        return mask_from(u[0] for u in self.units)
-
     def support_set(self) -> int:
         return mask_from(u[1] for u in self.units)
-
-    def backbone_set(self) -> int:
-        return mask_from(u[2] for u in self.units)
 
 
 @dataclass(frozen=True)
@@ -264,16 +258,18 @@ def build_certificate(t: Graph, p: UnitPartition) -> int:
 
     Color the backbone subtree; take the class X holding the minimum-index
     backbone vertex and pick the support of every X unit and the leaf of
-    every other unit.  Either color class gives a valid certificate.
+    every other unit.  Either color class gives a valid certificate.  The
+    path between two backbone vertices stays inside the backbone, so their
+    colors are the parities of their depths in a walk of the whole tree
+    from that minimum vertex.
     """
-    backbone = {u[2] for u in p.units}
-    order, parent = traverse(t, min(backbone), backbone)
-    color = {order[0]: 0}
+    order, parent = traverse(t, min(u[2] for u in p.units))
+    odd = [False] * t.n
     for v in order[1:]:
-        color[v] = color[parent[v]] ^ 1
+        odd[v] = not odd[parent[v]]
     digits = bytearray(b"0" * t.n)  # bit v of the mask is digits[v]
     for leaf, s, w in p.units:
-        digits[s if color[w] == 0 else leaf] = ord("1")
+        digits[leaf if odd[w] else s] = ord("1")
     return int(digits[::-1], 2)
 
 

@@ -13,7 +13,9 @@ and the certificate check that counts dominators through per-vertex edge
 masks and tests independence pair by pair, the reduction that deleted every
 non-representative and rebuilt the rest through ``Graph.from_edges``, the
 unit-cut split that walked each side into a mask and deleted the rest, the
-two-pass edge-list parser, the reducedness test that grouped every
+walk filtered through a set of allowed vertices, the lemma suite's
+components of a cut tree found as masks and deleted out, the two-pass
+edge-list parser, the reducedness test that grouped every
 neighbourhood class, the unit partition built on vertex sets with a
 traversal for backbone connectivity, the recognizer that built its result
 in three places from the library's own stages, and the lemma suite's
@@ -41,7 +43,6 @@ from vedom.graph import (
     is_tree,
     mask_from,
     require_tree,
-    traverse,
 )
 from vedom.recognizer import (
     LABEL_BACKBONE,
@@ -475,9 +476,40 @@ def unit_cut_sides(t: Graph, e: tuple[int, int]) -> list[Graph]:
     everything = (1 << t.n) - 1
     sides = []
     for start, other in (e, e[::-1]):
-        side, _ = traverse(t, start, set(range(t.n)) - {other})
+        side = filtered_walk(t, start, set(range(t.n)) - {other})
         sides.append(induced_delete(t, everything & ~mask_from(side))[0])
     return sides
+
+
+def filtered_walk(g: Graph, root: int, allowed: set[int]) -> list[int]:
+    """The library's earlier filtered walk: the breadth-first order from
+    root, moving only through members of ``allowed`` (root itself is always
+    listed)."""
+    seen = [False] * g.n
+    seen[root] = True
+    order = [root]
+    for v in order:
+        for u in g.adj[v]:
+            if not seen[u] and u in allowed:
+                seen[u] = True
+                order.append(u)
+    return order
+
+
+def components_without(t: Graph, removed: int) -> list[Graph]:
+    """The lemma suite's earlier components of t minus the ``removed`` mask:
+    the rest cut out by deleting the mask, its components found as masks by
+    smallest member, and each cut out of the rest by deleting every vertex
+    outside it."""
+    rest, _ = induced_delete(t, removed)
+    everything = (1 << rest.n) - 1
+    unseen = set(range(rest.n))
+    out = []
+    while unseen:
+        comp = filtered_walk(rest, min(unseen), unseen)
+        unseen.difference_update(comp)
+        out.append(induced_delete(rest, everything & ~mask_from(comp))[0])
+    return out
 
 
 def qualifying_cut_edges(t: Graph) -> list[tuple[int, int]]:
@@ -636,8 +668,7 @@ def unit_partition(t: Graph) -> UnitPartition | Refutation:
     backbone_edges = tuple(
         (u, v) for u, v in t.edges if u in backbone_set and v in backbone_set
     )
-    order, _ = traverse(t, backbone[0], backbone_set)
-    if len(order) != len(backbone_set):
+    if len(filtered_walk(t, backbone[0], backbone_set)) != len(backbone_set):
         return Refutation("backbone-disconnected", tuple(sorted(backbone_set)))
 
     label = [LABEL_BACKBONE] * t.n

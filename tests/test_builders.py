@@ -4,7 +4,8 @@ result as a tree.  These tests hold every such builder to the checked
 ``Graph.from_edges`` of its own edges, adjacency included, and its record
 to the traversal definition of a tree; they also check the expansions'
 partitions, which ``expand_backbone`` builds unchecked, and that only
-``vedom.graph`` calls the checked constructor or knows the record."""
+``vedom.graph`` calls the checked constructor, knows the record or cuts a
+graph through vertex masks."""
 
 import ast
 import itertools
@@ -117,9 +118,10 @@ def test_expansion_partitions_are_valid_and_are_the_recognizers(backbones):
         assert unit_partition(t) == p
 
 
-def test_only_graph_calls_the_checked_constructor_or_knows_the_tree_record():
-    """No vedom module calls Graph.from_edges, the door for edge lists from
-    outside, and no module but vedom.graph names the tree record's key."""
+def _module_names() -> dict[str, set[str]]:
+    """Per vedom module, the names it reads, defines an attribute or imports,
+    and "call f" for each function f it calls by name or attribute."""
+    out = {}
     for path in sorted(Path(vedom.__file__).parent.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -132,6 +134,23 @@ def test_only_graph_calls_the_checked_constructor_or_knows_the_tree_record():
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
-        assert "call from_edges" not in names, path.name
-        if path.name != "graph.py":
-            assert "_TREE" not in names, path.name
+        out[path.name] = names
+    return out
+
+
+def test_only_graph_calls_the_checked_constructor_or_knows_the_tree_record():
+    """No vedom module calls Graph.from_edges, the door for edge lists from
+    outside, and no module but vedom.graph names the tree record's key."""
+    for name, names in _module_names().items():
+        assert "call from_edges" not in names, name
+        if name != "graph.py":
+            assert "_TREE" not in names, name
+
+
+def test_only_graph_cuts_a_graph_through_vertex_masks():
+    """Outside vedom.graph, a part of a graph is taken by a walk over a seen
+    list marked beforehand and built with graph._induced: no other module
+    calls induced_delete or connected_components, which stay public."""
+    for name, names in _module_names().items():
+        if name != "graph.py":
+            assert not {"call induced_delete", "call connected_components"} & names, name

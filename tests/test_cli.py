@@ -674,8 +674,9 @@ def test_declared_count_over_the_limit_exits_before_allocation(command, name, te
 def test_over_limit_backbone_is_refused_before_the_edge_list(tmp_path, monkeypatch):
     """A backbone of 333,334 vertices expands to 1,000,002, over the vertex
     limit: vedom expand exits 2 with the limit message, and expand_backbone
-    refuses with its own check, before it builds the output (shown under a
-    lowered limit, where the builder's check would give the same message)."""
+    refuses with its own check, before it lists an edge of the output or
+    builds it (shown under a lowered limit, where the builder's check would
+    give the same message, on a backbone whose edges cannot be read)."""
     k = 333_334
     f = tmp_path / "path.el"
     f.write_text(f"n {k}\n" + "".join(f"{i} {i + 1}\n" for i in range(k - 1)))
@@ -686,7 +687,12 @@ def test_over_limit_backbone_is_refused_before_the_edge_list(tmp_path, monkeypat
     def forbidden(*args):
         raise AssertionError("output built before the limit check")
 
-    backbone = pruefer_to_tree(100, [3] * 98)
+    class Trap(tuple):
+        def __iter__(self):
+            raise AssertionError("edges listed before the limit check")
+
+    b = pruefer_to_tree(100, [3] * 98)
+    backbone = graph._tree(Graph(b.n, b.adj, Trap(b.edges)))
     monkeypatch.setattr(graph, "MAX_VERTICES", 299)
     monkeypatch.setattr(Graph, "_build", staticmethod(forbidden))
     with pytest.raises(ValueError, match="^300 vertices exceeds the limit of 299$"):

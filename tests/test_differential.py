@@ -41,10 +41,11 @@ from vedom.freetrees import (
     pruefer_to_tree,
     rooted_level_sequences,
 )
-from vedom.graph import Graph, GraphFormatError, _parse_edge_list, induced_delete
-from vedom.harness import _qualifying_cut_edges, _qualifying_cut_vertices
+from vedom.graph import Graph, GraphFormatError, _parse_edge_list, induced_delete, mask_from
+from vedom.harness import _components_without, _qualifying_cut_edges, _qualifying_cut_vertices
 from vedom.recognizer import (
     Refutation,
+    build_certificate,
     find_forbidden_configuration,
     recognize,
     unit_partition,
@@ -410,6 +411,50 @@ def test_qualifying_cuts_match_reference():
         for t in enumerate_free_trees(n):
             assert _qualifying_cut_edges(t) == reference.qualifying_cut_edges(t)
             assert _qualifying_cut_vertices(t) == reference.qualifying_cut_vertices(t)
+
+
+def test_cut_components_match_reference_on_every_tree_up_to_order_10():
+    """The components of t minus every edge's ends and minus every vertex,
+    not only the lemma suite's qualifying cuts of well-ve-dominated trees,
+    against the suite's earlier mask path; cuts leaving a component that is
+    not well-ve-dominated occur, and others that leave none."""
+    verdicts = set()
+    for n in range(1, 11):
+        for t in enumerate_free_trees(n):
+            for cut in [*t.edges, *((c,) for c in range(t.n))]:
+                components = list(_components_without(t, cut))
+                assert components == reference.components_without(t, mask_from(cut))
+                verdicts.add(all(map(is_well_ve_dominated, components)))
+    assert verdicts == {True, False}
+
+
+def test_certificate_matches_reference_on_every_t2_tree_up_to_order_15():
+    """build_certificate colours by depth parity in a walk of the whole
+    tree, the reference by a walk of the backbone subtree alone."""
+    checked = 0
+    for n in range(1, 16):
+        for t in enumerate_free_trees(n):
+            result = recognize(t)
+            if result.case == "T2":
+                t2, p = result.reduced_tree, result.partition
+                assert build_certificate(t2, p) == reference.build_certificate(t2, p)
+                checked += 1
+    assert checked == 116  # of the 131 accepted trees; the other 15 are T1
+
+
+def test_certificate_matches_reference_on_seeded_expansions():
+    """Shuffled backbone expansions of 6 to 9,999 vertices, so the minimum
+    backbone vertex, where both colourings start, falls anywhere."""
+    rng = random.Random(20251026)
+    backbones = [_random_tree(rng, 2, 3333) for _ in range(34)]
+    backbones.append(pruefer_to_tree(3333, [rng.randrange(3333) for _ in range(3331)]))
+    for r in backbones:
+        t, _ = expand_backbone(r)
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        t = relabeled(t, perm)
+        p = unit_partition(t)
+        assert build_certificate(t, p) == reference.build_certificate(t, p)
 
 
 @given(graphs(max_n=10), st.randoms(use_true_random=False))

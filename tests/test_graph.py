@@ -265,10 +265,10 @@ class TestComponents:
         lists = []  # kept alive, so distinct lists have distinct ids
         reach = graph_module._reach
 
-        def recording(g, root, allowed, seen, parent=None):
+        def recording(g, root, seen, parent=None):
             assert parent is None
             lists.append(seen)
-            return reach(g, root, allowed, seen, parent)
+            return reach(g, root, seen, parent)
 
         monkeypatch.setattr(graph_module, "_reach", recording)
         assert connected_components(g) == [0b11 << v for v in range(0, 20_000, 2)]
@@ -287,13 +287,17 @@ class TestTraverse:
             assert order.index(parent[v]) < i
         assert parent[2] == parent[5] == -1
 
-    def test_allowed_restricts_the_search(self):
-        order, parent = traverse(path_graph(6), 2, allowed={1, 3, 4})
+    def test_premarked_vertices_restrict_the_search(self):
+        seen = [True, False, False, False, False, True]  # every vertex outside {1, 3, 4} but the root
+        parent = [-1] * 6
+        order = graph_module._reach(path_graph(6), 2, seen, parent)
         assert sorted(order) == [1, 2, 3, 4]
         assert parent == [-1, 2, -1, 2, 3, -1]
 
-    def test_root_outside_allowed_is_still_listed(self):
-        assert traverse(path_graph(3), 0, allowed=set()) == ([0], [-1, -1, -1])
+    def test_root_among_premarked_vertices_is_still_listed(self):
+        parent = [-1] * 3
+        assert graph_module._reach(path_graph(3), 0, [True] * 3, parent) == [0]
+        assert parent == [-1, -1, -1]
 
     @given(graphs(min_n=1, max_n=8))
     def test_reaches_exactly_the_root_component(self, g):
