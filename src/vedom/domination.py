@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import Graph, bit_list, mask_from
+from .graph import Graph, bit_list, check_vertex_set, mask_from
 
 FULL_MODE_GUARD = 24
 SIZE_BOUNDED_VERTEX_GUARD = 40
@@ -64,6 +64,7 @@ def ve_dominated_edges(g: Graph, v: int) -> int:
 def _coverage(g: Graph, s: int) -> tuple[list[int], int, int]:
     """Dominated-edge masks, and the edges ve-dominated by at least one and
     by at least two members of s, tallied in one pass over the members."""
+    check_vertex_set(g, s)
     masks = _masks(g)[1]
     once = twice = 0
     for v in bit_list(s):
@@ -83,9 +84,9 @@ def is_ve_dominating(g: Graph, s: int) -> bool:
 
 def private_edges(g: Graph, s: int, v: int) -> int:
     """Edges ve-dominated by v and by no other member of s.  Requires v in s."""
+    masks, _, twice = _coverage(g, s)
     if not (s >> v) & 1:
         raise ValueError(f"vertex {v} is not a member of the set")
-    masks, _, twice = _coverage(g, s)
     return masks[v] & ~twice
 
 

@@ -37,27 +37,27 @@ FREE_TREE_COUNTS = (
 )
 
 
-def _sequences(n: int, skip: bool) -> Iterator[tuple[list[int], list[int], int]]:
+def _sequences(n: int) -> Iterator[tuple[list[int], list[int], int]]:
     """The successor rule on one list, rewritten in place after each yield,
     as (seq, starts, big): starts are the level-2 indices, where the root's
     child subtrees begin, and big is the largest subtree.  A step rewrites
     only seq[p:], where a level-2 entry can only begin a copy of the block,
     so the starts before p and their running maxima (lead) carry over.
 
-    With skip, no sequence whose first child subtree has more than n/2
-    vertices is yielded.  With m = n // 2 + 1, that subtree holds all of
-    seq[1..m], and so does every sequence sharing the prefix seq[:m+1]; in
-    decreasing order these form one run, ending in the sequence whose tail
-    seq[m+1:] is all 2s.  That sequence's successor step chops seq[m] and
-    keeps only the start at 1, so the jump past the run is that step, taken
-    at p = m without yielding.  The step into a run tiles a block with no
-    level-2 entry, so the first sequence met in each run, the path included,
-    is one whose root has a single child, and that is where it jumps."""
+    No sequence whose first child subtree has more than n/2 vertices is
+    yielded.  With m = n // 2 + 1, that subtree holds all of seq[1..m], and
+    so does every sequence sharing the prefix seq[:m+1]; in decreasing order
+    these form one run, ending in the sequence whose tail seq[m+1:] is all
+    2s.  That sequence's successor step chops seq[m] and keeps only the
+    start at 1, so the jump past the run is that step, taken at p = m
+    without yielding.  The step into a run tiles a block with no level-2
+    entry, so the first sequence met in each run, the path included, is one
+    whose root has a single child, and that is where it jumps."""
     seq = list(range(1, n + 1))
     starts, lead = [1], [0]
     m = n // 2 + 1
     while True:
-        if skip and len(starts) == 1 and m < n:
+        if len(starts) == 1 and m < n:
             p = m  # the step after the run's last sequence
         else:
             yield seq, starts, max(lead[-1], n - starts[-1])
@@ -77,15 +77,6 @@ def _sequences(n: int, skip: bool) -> Iterator[tuple[list[int], list[int], int]]
                 lead.append(max(lead[-1], s - starts[-1]))
                 starts.append(s)
         seq[p:] = (seq[q:p] * ((n - p) // (p - q) + 1))[: n - p]
-
-
-def rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """Canonical level sequences of all rooted trees on n vertices,
-    in decreasing lexicographic order (path first, star last)."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    for seq, _, _ in _sequences(n, skip=False):
-        yield tuple(seq)
 
 
 def level_sequence_to_graph(seq: Iterable[int]) -> Graph:
@@ -174,7 +165,7 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
     the canonical form.  The skipped sequences fall in the second case."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}")
-    for seq, starts, big in _sequences(n, skip=True):
+    for seq, starts, big in _sequences(n):
         if 2 * big < n or 2 * big == n and seq >= _rerooted(seq, starts, n):
             yield level_sequence_to_graph(seq)
 

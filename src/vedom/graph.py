@@ -29,6 +29,12 @@ def check_order(n: int, what: str = "vertices") -> None:
         raise ValueError(f"{n} {what} exceeds the limit of {MAX_VERTICES}")
 
 
+def check_vertex_set(g: Graph, s: int) -> None:
+    """Raise ValueError unless the mask s names only vertices of g."""
+    if s < 0 or s >> g.n:
+        raise ValueError(f"vertex set is not a mask over the {g.n} vertices")
+
+
 def mask_from(indices: Iterable[int]) -> int:
     """Bitmask with the given bit indices set."""
     m = 0

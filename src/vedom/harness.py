@@ -24,6 +24,8 @@ from .reduction import reduce_graph
 
 ORACLE_SWEEP_MAX = 15        # full oracle per tree; enumeration alone goes to 18
 ORACLE_HEAVY_MAX = 12        # suites that oracle many derived graphs per tree
+TRANSPORT_SAMPLES = 200      # twin-leaf trees drawn for lemma (a)
+TRANSPORT_SEED = 20240901
 
 
 @dataclass
@@ -147,14 +149,10 @@ def random_leaf_duplicated_tree(rng: random.Random, max_order: int) -> Graph:
     return _tree(Graph._build(len(support), [*g.edges, *((support[v], v) for v in added)]))
 
 
-def lemma_suite(
-    max_n: int,
-    transport_samples: int = 200,
-    seed: int = 20240901,
-) -> ValidationReport:
+def lemma_suite(max_n: int) -> ValidationReport:
     """Oracle-backed re-checks of the structural facts.
 
-    (a) reduction transport on randomized leaf-duplicated trees;
+    (a) reduction transport on TRANSPORT_SAMPLES seeded twin-leaf trees;
     (b) components of t minus both endpoints of a qualifying cut edge of a
         well-ve-dominated tree stay well-ve-dominated;
     (c) the cut-vertex analogue;
@@ -169,8 +167,8 @@ def lemma_suite(
     _check_args(max_n)
     started = time.perf_counter()
     report = ValidationReport(max_order=max_n)
-    rng = random.Random(seed)
-    for _ in range(transport_samples):
+    rng = random.Random(TRANSPORT_SEED)
+    for _ in range(TRANSPORT_SAMPLES):
         g = random_leaf_duplicated_tree(rng, min(max_n, ORACLE_HEAVY_MAX))
         reduced = reduce_graph(g).reduced_graph
         if is_well_ve_dominated(g) != is_well_ve_dominated(reduced):

@@ -19,14 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (
-    Graph,
-    bit_list,
-    is_tree,
-    mask_from,
-    require_tree,
-    traverse,
-)
+from .graph import Graph, bit_list, check_vertex_set, is_tree, require_tree, traverse
 from .reduction import is_reduced, reduce_graph
 
 RECOGNITION = "recognition"  # the task a non-tree input error names
@@ -52,9 +45,6 @@ class UnitPartition:
     units: tuple[tuple[int, int, int], ...]
     label: tuple[str, ...]
     backbone_edges: tuple[tuple[int, int], ...]
-
-    def support_set(self) -> int:
-        return mask_from(u[1] for u in self.units)
 
 
 @dataclass(frozen=True)
@@ -287,6 +277,7 @@ def verify_certificate(t: Graph, certificate: int) -> CertificateCheck:
     smaller adjacency list scanned.  Over the edges of a tree the smaller
     lists add up to at most 2n, so on trees the check takes linear time.
     """
+    check_vertex_set(t, certificate)
     members = bit_list(certificate)
     adj = t.adj
     inside = [0] * t.n

@@ -124,7 +124,7 @@ def test_criterion_3_certificate_validity(tree_sweep):
             failures.append(f"order {n}: dominator counts {check.counts}")
         if t2.n != 3 * len(res.partition.units):
             failures.append(f"order {n}: reduced order {t2.n} != 3x units")
-        if not is_minimal_ve_dominating(t2, res.partition.support_set()):
+        if not is_minimal_ve_dominating(t2, mask_from(u[1] for u in res.partition.units)):
             failures.append(f"order {n}: supports not minimal")
     _finish(3, "certificate validity", failures, f"{checked} recognized trees")
 
@@ -227,7 +227,7 @@ def test_criterion_6_sat_reduction():
 
 
 def test_criterion_7_lemma_suite():
-    report = lemma_suite(SWEEP_MAX, transport_samples=200)
+    report = lemma_suite(SWEEP_MAX)
     failures = list(report.lemma_failures)
     _finish(
         7,

@@ -39,7 +39,6 @@ from vedom.freetrees import (
     enumerate_free_trees,
     level_sequence_to_graph,
     pruefer_to_tree,
-    rooted_level_sequences,
 )
 from vedom.graph import Graph, GraphFormatError, _parse_edge_list, induced_delete, mask_from
 from vedom.harness import _components_without, _qualifying_cut_edges, _qualifying_cut_vertices
@@ -103,13 +102,12 @@ def test_free_trees_up_to_order_11_match_reference():
 
 def test_free_trees_up_to_order_13_match_reference_generator():
     for n in range(1, 14):
-        assert list(rooted_level_sequences(n)) == list(reference.rooted_level_sequences(n))
         assert list(enumerate_free_trees(n)) == list(reference.enumerate_free_trees(n))
 
 
 def test_level_sequence_builder_matches_reference():
     for n in range(1, 13):
-        for seq in rooted_level_sequences(n):
+        for seq in reference.rooted_level_sequences(n):
             assert level_sequence_to_graph(seq) == reference.level_sequence_to_graph(seq)
     assert level_sequence_to_graph(()) == reference.level_sequence_to_graph(()) == Graph(0, (), ())
 

@@ -23,6 +23,7 @@ from vedom.constructions import CnfInstance, path_graph, sat_decide_via_graph, s
 from vedom.freetrees import enumerate_free_trees
 from vedom.graph import Graph, bit_list, connected_components, induced_delete, mask_from
 from vedom.harness import lemma_suite
+from vedom.recognizer import verify_certificate
 
 from tests.reference import adjacency_masks, is_minimal_by_removal, minimal_sets_by_exhaustion
 from tests.strategies import graphs, relabeled, star, trees
@@ -85,6 +86,20 @@ class TestPrivateEdges:
     def test_requires_membership(self):
         with pytest.raises(ValueError):
             private_edges(path_graph(4), mask_from([1]), 2)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [is_ve_dominating, is_minimal_ve_dominating, lambda g, s: private_edges(g, s, 0), verify_certificate],
+    ids=["is_ve_dominating", "is_minimal_ve_dominating", "private_edges", "verify_certificate"],
+)
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_vertex_sets_out_of_range_are_refused(check, n):
+    """A mask with a bit at or above n, or a negative one, names no vertex
+    set of the graph, so it is refused, never read as one."""
+    for s in (1 << n, -1, (1 << n) | 1):
+        with pytest.raises(ValueError, match="^vertex set is not a mask over the"):
+            check(path_graph(n), s)
 
 
 class TestMinimality:

@@ -12,7 +12,6 @@ from vedom.freetrees import (
     enumerate_free_trees,
     level_sequence_to_graph,
     pruefer_to_tree,
-    rooted_level_sequences,
     trees_isomorphic,
 )
 from vedom.constructions import path_graph
@@ -34,16 +33,16 @@ def _read(seq: list[int], n: int) -> tuple[list[int], int]:
 class TestRootedSequences:
     def test_counts(self):
         for n, expected in ROOTED_TREE_COUNTS.items():
-            assert sum(1 for _ in rooted_level_sequences(n)) == expected
+            assert sum(1 for _ in reference.rooted_level_sequences(n)) == expected
 
     def test_first_is_path_last_is_star(self):
-        seqs = list(rooted_level_sequences(5))
+        seqs = list(reference.rooted_level_sequences(5))
         assert seqs[0] == (1, 2, 3, 4, 5)
         assert seqs[-1] == (1, 2, 2, 2, 2)
 
     def test_sequences_are_their_own_canonical_form(self):
         for n in range(1, 8):
-            for seq in rooted_level_sequences(n):
+            for seq in reference.rooted_level_sequences(n):
                 g = level_sequence_to_graph(seq)
                 assert canonical_rooted_sequence(g, 0) == seq
 
@@ -51,10 +50,11 @@ class TestRootedSequences:
         """The starts and largest subtree carried across successor steps
         equal those read off each sequence afresh; with two centroids the
         re-rooted sequence is the canonical sequence at the other centroid,
-        and the sequence is kept exactly when it is the canonical form."""
+        and the sequence is kept exactly when it is the canonical form.  No
+        two-centroid sequence has a heavy first subtree, so all are met."""
         two_centroid = 0
         for n in range(2, 15):
-            for seq, starts, big in _sequences(n, skip=False):
+            for seq, starts, big in _sequences(n):
                 assert (starts, big) == _read(seq, n)
                 if 2 * big != n:
                     continue
@@ -70,22 +70,16 @@ class TestRootedSequences:
         assert two_centroid == sum(ROOTED_TREE_COUNTS[k] ** 2 for k in range(1, 8))
 
     def test_skip_drops_exactly_the_sequences_with_a_heavy_first_subtree(self):
-        """The skipping generator yields the full one's sequences, in order,
-        minus those whose first child subtree has more than n/2 vertices,
-        each with the starts and largest subtree read afresh."""
+        """The generator yields the reference's rooted sequences, in order,
+        minus those whose first child subtree has more than n/2 vertices."""
         for n in range(2, 15):
-            light = []
-            for seq, _, _ in _sequences(n, skip=False):
-                first = next((i for i in range(2, n) if seq[i] == 2), n) - 1
-                if 2 * first <= n:
-                    light.append(tuple(seq))
-            skipped = []
-            for seq, starts, big in _sequences(n, skip=True):
-                assert (starts, big) == _read(seq, n)
-                skipped.append(tuple(seq))
-            assert skipped == light
-        assert sum(1 for _ in _sequences(12, skip=True)) == 759
-        assert sum(1 for _ in _sequences(15, skip=True)) == 8810
+            light = [
+                seq for seq in reference.rooted_level_sequences(n)
+                if 2 * (next((i for i in range(2, n) if seq[i] == 2), n) - 1) <= n
+            ]
+            assert [tuple(seq) for seq, _, _ in _sequences(n)] == light
+        assert sum(1 for _ in _sequences(12)) == 759
+        assert sum(1 for _ in _sequences(15)) == 8810
 
 
 class TestLevelSequenceToGraph:

@@ -13,7 +13,7 @@ import vedom
 
 from vedom import graph as graph_module
 from vedom.constructions import path_graph
-from vedom.freetrees import enumerate_free_trees, level_sequence_to_graph, rooted_level_sequences
+from vedom.freetrees import enumerate_free_trees, level_sequence_to_graph
 from vedom.graph import (
     Graph,
     GraphFormatError,
@@ -32,6 +32,7 @@ from vedom.graph import (
 )
 from vedom.reduction import reduce_graph
 
+from tests.reference import rooted_level_sequences
 from tests.strategies import graphs, relabeled, star
 
 

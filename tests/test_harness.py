@@ -46,17 +46,17 @@ class TestCrossValidate:
 
 class TestLemmaSuite:
     def test_no_failures_up_to_nine(self):
-        report = lemma_suite(9, transport_samples=60)
+        report = lemma_suite(9)
         assert report.lemma_failures == []
         assert report.ok
 
     def test_transport_sampling_is_deterministic(self):
-        a = lemma_suite(3, transport_samples=25, seed=11)
-        b = lemma_suite(3, transport_samples=25, seed=11)
+        a = lemma_suite(3)
+        b = lemma_suite(3)
         assert a.lemma_failures == b.lemma_failures == []
 
     def test_sweep_matches_cross_validate(self):
-        lemmas = lemma_suite(8, transport_samples=30)
+        lemmas = lemma_suite(8)
         cross = cross_validate(8)
         assert lemmas.trees_checked == cross.trees_checked
         assert lemmas.wvd_tree_census == cross.wvd_tree_census

@@ -346,7 +346,7 @@ class TestRecognize:
                 assert verify_certificate(t2, r.certificate).passed
                 rep = oracle_report(t2)
                 assert rep.gamma_ve == rep.big_gamma_ve == len(r.partition.units)
-                assert is_minimal_ve_dominating(t2, r.partition.support_set())
+                assert is_minimal_ve_dominating(t2, mask_from(u[1] for u in r.partition.units))
 
 
 @given(trees(max_n=11))
