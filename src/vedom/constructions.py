@@ -221,7 +221,7 @@ def sat_decide_via_graph(f: CnfInstance | SatReductionMap) -> bool:
     _check_gadget_guard(f)
     gadget = f if isinstance(f, SatReductionMap) else sat_to_graph(f)
     g = gadget.graph
-    masks = _masks(g)[1]
+    masks = _masks(g)
     full = (1 << len(g.edges)) - 1
     n = len(gadget.x)
     choice_masks = [

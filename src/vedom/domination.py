@@ -3,8 +3,9 @@
 A vertex v ve-dominates an edge e when an endpoint of e lies in the closed
 neighborhood N[v]; a vertex set is ve-dominating when every edge is
 ve-dominated by some member.  One search visits all inclusion-minimal
-ve-dominating sets of a small graph exactly; its consumers list the sets,
-decide the verdict alone, or tally the extremal parameters:
+ve-dominating sets of a small graph exactly, as the minimal transversals of
+the edges' dominator sets N[a] | N[b]; its consumers list the sets, decide
+the verdict alone, or tally the extremal parameters:
 
   gamma_ve / big_gamma_ve   min / max size of a minimal ve-dominating set
   i_ve / beta_ve            the same extremes over independent minimal sets
@@ -31,26 +32,28 @@ class InstanceTooLargeError(ValueError):
     """Raised when a graph exceeds the oracle's vertex guard."""
 
 
-def _masks(g: Graph) -> tuple[list[int], list[int]]:
-    """Per vertex v, the vertex mask of N[v] and the mask of the edges v
-    ve-dominates, the edges at the members of N[v]; O(n + m) mask steps."""
-    closed = [1 << v for v in range(g.n)]
+def _spread(g: Graph, own: list[int]) -> list[int]:
+    """Per vertex v, the union of own[w] over the members w of N[v]."""
+    spread = own[:]
+    for a, b in g.edges:
+        spread[a] |= own[b]
+        spread[b] |= own[a]
+    return spread
+
+
+def _masks(g: Graph) -> list[int]:
+    """Per vertex v, the mask of the edges v ve-dominates, the edges at the
+    members of N[v]; O(n + m) mask steps."""
     inc = [0] * g.n
     for idx, (a, b) in enumerate(g.edges):
-        closed[a] |= 1 << b
-        closed[b] |= 1 << a
         inc[a] |= 1 << idx
         inc[b] |= 1 << idx
-    dominated = inc[:]
-    for a, b in g.edges:
-        dominated[a] |= inc[b]
-        dominated[b] |= inc[a]
-    return closed, dominated
+    return _spread(g, inc)
 
 
 def dominated_edge_masks(g: Graph) -> list[int]:
     """For each vertex v, the mask of edges ve-dominated by v."""
-    return _masks(g)[1]
+    return _masks(g)
 
 
 def ve_dominated_edges(g: Graph, v: int) -> int:
@@ -65,7 +68,7 @@ def _coverage(g: Graph, s: int) -> tuple[list[int], int, int]:
     """Dominated-edge masks, and the edges ve-dominated by at least one and
     by at least two members of s, tallied in one pass over the members."""
     check_vertex_set(g, s)
-    masks = _masks(g)[1]
+    masks = _masks(g)
     once = twice = 0
     for v in bit_list(s):
         twice |= once & masks[v]
@@ -85,6 +88,8 @@ def is_ve_dominating(g: Graph, s: int) -> bool:
 def private_edges(g: Graph, s: int, v: int) -> int:
     """Edges ve-dominated by v and by no other member of s.  Requires v in s."""
     masks, _, twice = _coverage(g, s)
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
     if not (s >> v) & 1:
         raise ValueError(f"vertex {v} is not a member of the set")
     return masks[v] & ~twice
@@ -128,56 +133,76 @@ def _search(
     ve-dominating set of g (of size <= size_bound when one is given), in
     search order, and stop as soon as visit returns a true value.
 
-    The search branches on the lowest-index uncovered edge (a, b): for each
-    vertex that dominates it, read low bit first off the closed-neighbourhood
-    mask N[a] | N[b], we either include that vertex or exclude it from the
-    rest of the branch, so every cover is generated along exactly one path.
-    Along a branch each member's private edges (dominated by no other
+    A set ve-dominates g when it meets N[a] | N[b] for every edge ab, so the
+    minimal sets are the minimal transversals of any family with the same
+    transversals.  Where v has a neighbour w, N[w] <= N[v], every edge at v
+    has a dominator set containing N[v], that of vw, so it gives N[v].
+
+    Equal sets are kept once, and the search branches on the first uncovered
+    kept set, smallest first and ties in edge order: for each vertex in it,
+    low bit first, we either include that vertex or exclude it from the rest
+    of the branch, so every cover is generated along exactly one path.
+    Along a branch each member's private sets (kept sets met by no other
     member) are tracked; once a member has none the branch is abandoned, as
     no superset gives them back and every subset of a minimal set keeps
-    them.  So every cover the search reaches is minimal.  A vertex that
-    completes the cover is visited at once, without a call, and with one
-    pick left under the bound only such vertices are tried.  The
-    independence flag is carried down the branch too: adding v keeps it set
-    only when v has no neighbor among the members chosen so far.
+    them, so every cover reached is minimal.  A vertex that completes the
+    cover is visited at once, without a call, and with one pick left under
+    the bound only such vertices are tried.  Adding v keeps the independence
+    flag set only when v has no neighbor among the members so far.
 
-    Under a size bound the search also prunes with a packing: the edges, in
-    canonical order, whose dominator sets N[a] | N[b] are disjoint from
-    those of the edges kept before them.  Each uncovered packing edge needs
-    a member of its own, as no vertex dominates two of them.  So a vertex
-    that does not complete the cover is tried only when picks are left
-    after it, and, when the uncovered packing edges outnumber those picks,
-    only when it dominates one of them.  A branch cut this way holds no
+    Under a size bound the search also prunes with a packing: the kept sets,
+    in search order, disjoint from those kept before them.  Each uncovered
+    packing set needs a member of its own, as no vertex meets two of them.
+    So a vertex that does not complete the cover is tried only when picks
+    are left after it, and, when the uncovered packing sets outnumber those
+    picks, only when it meets one of them.  A branch cut this way holds no
     cover within the bound, so the visits, their order and any early stop
-    are those of the search without the packing.  A packing larger than
-    the bound rules out every cover, and no search is made; one that fits
-    keeps fitting, as the count rule leaves at most room + 1 uncovered
-    packing edges at every node.  Full mode builds none.
+    are those of the search without the packing.  A packing larger than the
+    bound rules out every cover, and no search is made; one that fits keeps
+    fitting, as the count rule leaves at most room + 1 uncovered packing
+    sets at every node.  Full mode builds none.
     """
     _check_guard(g.n, size_bound, guard)
-    edges = g.edges
-    full = (1 << len(edges)) - 1
-    if full == 0:
+    if not g.edges:
         visit(0, True)
         return
-    closed, masks = _masks(g)
+    closed = _spread(g, [1 << v for v in range(g.n)])  # N[v]
+    seal = [0] * g.n  # N[v] when v has a neighbour w with N[w] <= N[v], else 0
+    for a, b in g.edges:
+        if (dominators := closed[a] | closed[b]) == closed[a]:
+            seal[a] = dominators
+        if dominators == closed[b]:
+            seal[b] = dominators
+    kept = {}  # kept set -> two vertices whose closed neighbourhoods make it up
+    for a, b in g.edges:
+        if seal[a]:
+            kept[seal[a]] = a, a
+        elif seal[b]:
+            kept[seal[b]] = b, b
+        else:
+            kept[closed[a] | closed[b]] = a, b
+    family = sorted(kept, key=int.bit_count)  # smallest first, ties in edge order
+    full = (1 << len(family)) - 1
+    own = [0] * g.n  # per vertex x, the kept sets that N[x] is part of
+    pack = taken = 0  # under a bound, kept sets that are pairwise disjoint
+    for idx, dominators in enumerate(family):
+        a, b = kept[dominators]
+        bit = 1 << idx
+        own[a] |= bit
+        own[b] |= bit
+        if size_bound is not None and not dominators & taken:
+            taken |= dominators
+            pack |= bit
+    masks = _spread(g, own)  # per vertex, the kept sets it belongs to
     bound = g.n if size_bound is None else min(size_bound, g.n)
-    pack = 0  # edges whose dominator sets N[a] | N[b] are pairwise disjoint
-    if size_bound is not None:
-        taken = 0
-        for idx, (a, b) in enumerate(edges):
-            if not (dominators := closed[a] | closed[b]) & taken:
-                taken |= dominators
-                pack |= 1 << idx
 
     def search(
         chosen: int, covered: int, banned: int, private: tuple[int, ...], independent: bool
     ) -> bool | None:
         rem = ~covered & full
-        a, b = edges[(rem & -rem).bit_length() - 1]
-        candidates = (closed[a] | closed[b]) & ~banned
+        candidates = family[(rem & -rem).bit_length() - 1] & ~banned
         room = bound - len(private) - 1  # picks left after this one
-        # the uncovered packing edges, when they outnumber room: a vertex
+        # the uncovered packing sets, when they outnumber room: a vertex
         # that leaves all of them uncovered cannot lead to a cover.  Testing
         # pack first keeps the count out of full mode.
         need = rem & pack if pack and (rem & pack).bit_count() > room else 0

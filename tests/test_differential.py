@@ -22,10 +22,12 @@ as the earlier builder with its own adjacency loop."""
 import itertools
 import math
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vedom import domination
 from vedom.constructions import CnfInstance, expand_backbone, path_graph, sat_to_graph
 from vedom.domination import (
     dominated_edge_masks,
@@ -297,6 +299,63 @@ def _random_graphs(count: int = 300, seed: int = 20251021, max_n: int = 14) -> l
     return out
 
 
+def _nested_graphs(seed: int = 20261019) -> list[Graph]:
+    """Graphs whose closed neighbourhoods nest, N[w] <= N[v] <= N[u], and
+    whose adjacent vertices are often true twins, so the oracle keeps far
+    fewer dominator sets than edges: K_2 to K_8, and seeded threshold
+    graphs, split graphs and cliques with pendant vertices of 3 to 12
+    vertices."""
+    rng = random.Random(seed)
+    out = [Graph.from_edges(n, itertools.combinations(range(n), 2)) for n in range(2, 9)]
+    for _ in range(10):
+        n = rng.randint(3, 12)
+        # each vertex joins all earlier ones or none of them
+        out.append(Graph.from_edges(n, [(u, v) for v in range(n) if rng.random() < 0.6 for u in range(v)]))
+        k = rng.randint(2, n - 1)
+        clique = list(itertools.combinations(range(k), 2))
+        out.append(Graph.from_edges(n, clique + [
+            (u, v) for v in range(k, n) for u in range(k) if rng.random() < 0.5
+        ]))
+        out.append(Graph.from_edges(n, clique + [(rng.randrange(k), v) for v in range(k, n)]))
+    return out
+
+
+def _kept_family(g: Graph) -> list[int]:
+    """The dominator sets the oracle's search keeps for g, in search order,
+    read off its frame as it returns; bound 0 builds them and searches
+    nothing, and an edgeless graph keeps none."""
+    kept = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is domination._search.__code__:
+            kept.extend(frame.f_locals.get("family", ()))
+
+    sys.setprofile(profile)
+    try:
+        enumerate_minimal_ve_dominating_sets(g, size_bound=0)
+    finally:
+        sys.setprofile(None)
+    return kept
+
+
+def test_kept_dominator_sets_have_the_edges_transversals():
+    """The kept sets are distinct dominator sets N[a] | N[b] of edges,
+    smallest first, and every edge's dominator set contains one, so both
+    families have the same minimal transversals.  A gadget keeps 3n + m
+    sets: the 2n pendant sets N[y] and N[w], the n sets N[u] | N[u'] of the
+    (u, u') edges and the m clause neighbourhoods."""
+    gadgets = [sat_to_graph(f).graph for f in _GADGET_FORMULAS]
+    for g in _nested_graphs() + _random_graphs(60) + gadgets:
+        closed = [mask_from((v, *g.adj[v])) for v in range(g.n)]
+        dominators = {closed[a] | closed[b] for a, b in g.edges}
+        kept = _kept_family(g)
+        assert len(set(kept)) == len(kept) and set(kept) <= dominators
+        assert [s.bit_count() for s in kept] == sorted(s.bit_count() for s in kept)
+        assert all(any(s & d == s for s in kept) for d in dominators)
+    for f, g in zip(_GADGET_FORMULAS, gadgets):
+        assert len(_kept_family(g)) == 3 * f.variable_count + len(f.clauses)
+
+
 def _report_or_error(report, g, bound):
     try:
         return report(g, size_bound=bound).to_json_dict()
@@ -308,8 +367,9 @@ def test_streamed_report_matches_reference_on_random_graphs():
     """Full and bounded reports, witnesses included; a bound below gamma_ve
     raises the same error in both.  At bound gamma_ve the last pick must
     complete the cover, and at gamma_ve + 1 the packing prune binds on the
-    picks before it."""
-    graphs = _random_graphs()
+    picks before it.  The nested graphs are where the oracle keeps fewer
+    dominator sets than edges."""
+    graphs = _random_graphs() + _nested_graphs()
     verdicts = []
     bounded = []
     for g in graphs:

@@ -87,6 +87,11 @@ class TestPrivateEdges:
         with pytest.raises(ValueError):
             private_edges(path_graph(4), mask_from([1]), 2)
 
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_vertex_out_of_range(self, v):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            private_edges(path_graph(4), mask_from([1]), v)
+
 
 @pytest.mark.parametrize(
     "check",
@@ -370,29 +375,35 @@ def _search_calls(call) -> int:
     return calls
 
 
+ALL_SIGN_PATTERNS_CNF = CnfInstance(3, tuple(itertools.product((1, -1), (2, -2), (3, -3))))
+
+
 @pytest.mark.parametrize(
-    "f, calls",
+    "f, extra, calls",
     [
-        (FIGURE_CNF, 1836),
-        (CnfInstance(3, tuple(itertools.product((1, -1), (2, -2), (3, -3)))), 224),
+        (FIGURE_CNF, 0, 3280),
+        (ALL_SIGN_PATTERNS_CNF, 0, 364),
+        (FIGURE_CNF, 1, 8001),
+        (ALL_SIGN_PATTERNS_CNF, 1, 924),
     ],
-    ids=["figure", "all-sign-patterns"],
+    ids=["figure", "all-sign-patterns", "figure-2n+1", "all-sign-patterns-2n+1"],
 )
-def test_size_bound_prunes_with_the_packing(f, calls):
-    """At bound 2n the gadget's packing is its 2n pendant path edges, one
-    per triple {x, y, u} and {u', w, z}, and a branch whose picks left
-    cannot cover the uncovered ones is cut.  A search without the packing
-    makes 3,939 and 920 calls; the sets are those of full mode."""
+def test_size_bound_prunes_with_the_packing(f, extra, calls):
+    """At bounds 2n and 2n + 1 the gadget's packing is its 2n pendant sets
+    {x, y, u} and {u', w, z}.  They are also the smallest kept sets, so the
+    search branches on them first, and each vertex it tries there meets an
+    uncovered one: the count rule cuts no branch, and a search without the
+    packing makes the same calls here.  The sets are those of full mode."""
     g = sat_to_graph(f).graph
-    bound = 2 * f.variable_count
+    bound = 2 * f.variable_count + extra
     sets = []
     assert _search_calls(lambda: sets.extend(enumerate_minimal_ve_dominating_sets(g, bound))) == calls
     assert sets == [s for s in enumerate_minimal_ve_dominating_sets(g, guard=40) if s.bit_count() <= bound]
 
 
 def test_packing_larger_than_the_bound_makes_no_search():
-    """Below gamma_ve the figure gadget's 8 packing edges exceed the 7
-    picks of bound 2n - 1, so no set is searched for (687 calls without
+    """Below gamma_ve the figure gadget's 8 packing sets exceed the 7
+    picks of bound 2n - 1, so no set is searched for (1,093 calls without
     this check) and the bounded report finds none."""
     g = sat_to_graph(FIGURE_CNF).graph
 
