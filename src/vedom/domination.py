@@ -127,11 +127,14 @@ def _search(
     g: Graph,
     size_bound: int | None,
     guard: int,
-    visit: Callable[[int, bool], bool | None],
+    visit: Callable[[int, int, int], bool | None],
 ) -> None:
-    """Call visit(chosen, independent) on every inclusion-minimal
+    """Call visit(base, extra, free) on every inclusion-minimal
     ve-dominating set of g (of size <= size_bound when one is given), in
-    search order, and stop as soon as visit returns a true value.
+    batches in search order, and stop as soon as visit returns a true value.
+    A batch is the sets base | bit for each bit of extra, all of one size,
+    and free holds the bits whose set is independent.  An edgeless graph's
+    one minimal set, the empty one, comes alone as visit(0, 0, 1).
 
     A set ve-dominates g when it meets N[a] | N[b] for every edge ab, so the
     minimal sets are the minimal transversals of any family with the same
@@ -146,25 +149,21 @@ def _search(
     member) are tracked; once a member has none the branch is abandoned, as
     no superset gives them back and every subset of a minimal set keeps
     them, so every cover reached is minimal.  A vertex that completes the
-    cover is visited at once, without a call, and with one pick left under
-    the bound only such vertices are tried.  Adding v keeps the independence
-    flag set only when v has no neighbor among the members so far.
+    cover is visited at once, without a call, as a batch of one.  With one
+    pick left, the valid picks are found in bulk and visited as one batch:
+    the vertices in every uncovered kept set, less those in every private
+    set of some member, which would leave it none.  near is N[chosen] while
+    the members are independent, and every vertex once they are not, so the
+    independent picks are those outside it.
 
-    Under a size bound the search also prunes with a packing: the kept sets,
-    in search order, disjoint from those kept before them.  Each uncovered
-    packing set needs a member of its own, as no vertex meets two of them.
-    So a vertex that does not complete the cover is tried only when picks
-    are left after it, and, when the uncovered packing sets outnumber those
-    picks, only when it meets one of them.  A branch cut this way holds no
-    cover within the bound, so the visits, their order and any early stop
-    are those of the search without the packing.  A packing larger than the
-    bound rules out every cover, and no search is made; one that fits keeps
-    fitting, as the count rule leaves at most room + 1 uncovered packing
-    sets at every node.  Full mode builds none.
+    Under a size bound the kept sets that are disjoint from those before
+    them, in search order, form a packing; each needs a member of its own,
+    as no vertex meets two of them, so a packing larger than the bound
+    rules out every cover and no search is made.
     """
     _check_guard(g.n, size_bound, guard)
     if not g.edges:
-        visit(0, True)
+        visit(0, 0, 1)
         return
     closed = _spread(g, [1 << v for v in range(g.n)])  # N[v]
     seal = [0] * g.n  # N[v] when v has a neighbour w with N[w] <= N[v], else 0
@@ -184,52 +183,53 @@ def _search(
     family = sorted(kept, key=int.bit_count)  # smallest first, ties in edge order
     full = (1 << len(family)) - 1
     own = [0] * g.n  # per vertex x, the kept sets that N[x] is part of
-    pack = taken = 0  # under a bound, kept sets that are pairwise disjoint
+    pack = taken = 0  # under a bound, the size of a packing
     for idx, dominators in enumerate(family):
         a, b = kept[dominators]
-        bit = 1 << idx
-        own[a] |= bit
-        own[b] |= bit
+        own[a] |= 1 << idx
+        own[b] |= 1 << idx
         if size_bound is not None and not dominators & taken:
             taken |= dominators
-            pack |= bit
+            pack += 1
     masks = _spread(g, own)  # per vertex, the kept sets it belongs to
     bound = g.n if size_bound is None else min(size_bound, g.n)
 
     def search(
-        chosen: int, covered: int, banned: int, private: tuple[int, ...], independent: bool
+        chosen: int, covered: int, banned: int, private: tuple[int, ...], near: int
     ) -> bool | None:
         rem = ~covered & full
         candidates = family[(rem & -rem).bit_length() - 1] & ~banned
-        room = bound - len(private) - 1  # picks left after this one
-        # the uncovered packing sets, when they outnumber room: a vertex
-        # that leaves all of them uncovered cannot lead to a cover.  Testing
-        # pack first keeps the count out of full mode.
-        need = rem & pack if pack and (rem & pack).bit_count() > room else 0
+        if len(private) + 1 == bound:  # one pick left: take every valid one in bulk
+            while rem and candidates:
+                candidates &= family[(rem & -rem).bit_length() - 1]
+                rem &= rem - 1
+            for p in private:
+                inside = candidates
+                while p and inside:
+                    inside &= family[(p & -p).bit_length() - 1]
+                    p &= p - 1
+                candidates ^= inside
+            return candidates and visit(chosen, candidates, candidates & ~near)
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit
             v = bit.bit_length() - 1
             now = covered | masks[v]
+            keep = (~masks[v]).__and__  # what a member keeps private once v joins
             if now == full:
-                keep = (~masks[v]).__and__  # what a member keeps private once v joins
-                if all(map(keep, private)) and visit(
-                    chosen | bit, independent and not closed[v] & chosen
-                ):
+                if all(map(keep, private)) and visit(chosen, bit, bit & ~near):
                     return True
-            elif room and (not need or masks[v] & need):
-                keep = (~masks[v]).__and__
-                if all(kept := tuple(map(keep, private))) and search(
-                    chosen | bit, now, banned, kept + (now ^ covered,),
-                    independent and not closed[v] & chosen,
-                ):
-                    return True
+            elif all(kept := tuple(map(keep, private))) and search(
+                chosen | bit, now, banned, kept + (now ^ covered,),
+                -1 if near & bit else near | closed[v],
+            ):
+                return True
             banned |= bit
         return False
 
     try:
-        if bound and pack.bit_count() <= bound:
-            search(0, 0, 0, (), True)
+        if bound and pack <= bound:
+            search(0, 0, 0, (), 0)
     finally:
         del search  # search refers to itself through its closure cell: break that cycle
 
@@ -244,7 +244,11 @@ def enumerate_minimal_ve_dominating_sets(
     ordered by (size, lexicographic member order) and contains each set once.
     """
     minimal: list[int] = []
-    _search(g, size_bound, guard, lambda s, _: minimal.append(s))
+
+    def collect(base: int, extra: int, _: int) -> None:
+        minimal.extend([base | 1 << v for v in bit_list(extra)] or [base])
+
+    _search(g, size_bound, guard, collect)
     minimal.sort(key=lambda s: (s.bit_count(), bit_list(s)))
     return minimal
 
@@ -258,8 +262,8 @@ def is_well_ve_dominated(g: Graph, guard: int = FULL_MODE_GUARD) -> bool:
     """
     sizes: set[int] = set()
 
-    def second_size(s: int, _: bool) -> bool:
-        sizes.add(s.bit_count())
+    def second_size(base: int, extra: int, _: int) -> bool:
+        sizes.add((base | extra & -extra).bit_count())
         return len(sizes) > 1
 
     _search(g, None, guard, second_size)
@@ -314,14 +318,15 @@ def oracle_report(
     first: dict[int, int] = {}
     ind_sizes: set[int] = set()
 
-    def tally(s: int, independent: bool) -> None:
+    def tally(base: int, extra: int, free: int) -> None:
+        s = base | extra & -extra  # the batch's lexicographically first set
         k = s.bit_count()
-        counts[k] = counts.get(k, 0) + 1
+        counts[k] = counts.get(k, 0) + (extra.bit_count() or 1)
         # of two sets of one size, s comes first exactly when it holds the
         # lowest vertex in which they differ
         if k not in first or s & (d := first[k] ^ s) & -d:
             first[k] = s
-        if independent:
+        if free:
             ind_sizes.add(k)
 
     _search(g, size_bound, guard, tally)

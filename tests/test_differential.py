@@ -263,7 +263,7 @@ _GADGET_FORMULAS = [
 def test_bounded_oracle_matches_cover_generation_on_sat_gadgets():
     """Sets and reports at bounds 2n and 2n + 1.  Bound 2n is each gadget's
     gamma_ve, so the search reaches the level where one pick is left and
-    only a completing vertex is tried.  At bound 2n the unsatisfiable
+    takes the last picks in bulk.  At bound 2n the unsatisfiable
     gadget's report has no independent set, so i_ve and beta_ve are None."""
     without_independent = 0
     for f in _GADGET_FORMULAS:
@@ -366,8 +366,8 @@ def _report_or_error(report, g, bound):
 def test_streamed_report_matches_reference_on_random_graphs():
     """Full and bounded reports, witnesses included; a bound below gamma_ve
     raises the same error in both.  At bound gamma_ve the last pick must
-    complete the cover, and at gamma_ve + 1 the packing prune binds on the
-    picks before it.  The nested graphs are where the oracle keeps fewer
+    complete the cover, and at gamma_ve + 1 the picks before it must leave
+    room for it.  The nested graphs are where the oracle keeps fewer
     dominator sets than edges."""
     graphs = _random_graphs() + _nested_graphs()
     verdicts = []
@@ -383,6 +383,24 @@ def test_streamed_report_matches_reference_on_random_graphs():
             bounded.append("error" if isinstance(got, str) else got["i_ve"] is None)
     assert max(g.n for g in graphs) == 14
     assert True in verdicts and False in verdicts
+    assert {"error", True, False} <= set(bounded)
+
+
+def test_bounded_search_matches_reference_at_every_bound():
+    """Sets and reports, witnesses included, at every bound from 0 to n; a
+    bound below gamma_ve gives the same error from both.  Each bound puts
+    the bulk last pick at another depth of the search, and the batches there
+    hold picks that would leave a member no private set, picks adjacent to a
+    member, and both kinds of report without an independent set."""
+    graphs = _random_graphs(180, max_n=12) + _nested_graphs()
+    bounded = []
+    for g in graphs:
+        for bound in range(g.n + 1):
+            expected = reference.minimal_sets_by_covers(g, bound)
+            assert enumerate_minimal_ve_dominating_sets(g, bound) == expected
+            got = _report_or_error(oracle_report, g, bound)
+            assert got == _report_or_error(reference.oracle_report, g, bound)
+            bounded.append("error" if isinstance(got, str) else got["i_ve"] is None)
     assert {"error", True, False} <= set(bounded)
 
 

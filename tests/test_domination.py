@@ -390,15 +390,41 @@ ALL_SIGN_PATTERNS_CNF = CnfInstance(3, tuple(itertools.product((1, -1), (2, -2),
 )
 def test_size_bound_prunes_with_the_packing(f, extra, calls):
     """At bounds 2n and 2n + 1 the gadget's packing is its 2n pendant sets
-    {x, y, u} and {u', w, z}.  They are also the smallest kept sets, so the
-    search branches on them first, and each vertex it tries there meets an
-    uncovered one: the count rule cuts no branch, and a search without the
-    packing makes the same calls here.  The sets are those of full mode."""
+    {x, y, u} and {u', w, z}, which fits the bound, so the search runs; a
+    node with one pick left makes no call, so the bulk last pick leaves
+    these counts as they were.  The sets are those of full mode."""
     g = sat_to_graph(f).graph
     bound = 2 * f.variable_count + extra
     sets = []
     assert _search_calls(lambda: sets.extend(enumerate_minimal_ve_dominating_sets(g, bound))) == calls
     assert sets == [s for s in enumerate_minimal_ve_dominating_sets(g, guard=40) if s.bit_count() <= bound]
+
+
+def _batches(g, bound, stop=False):
+    """The visits the oracle's search makes on g under bound, and the sets
+    they carry; each visit returns stop."""
+    visits = sets = 0
+
+    def visit(base, extra, free):
+        nonlocal visits, sets
+        assert extra and not base & extra and free & extra == free
+        visits += 1
+        sets += extra.bit_count()
+        return stop
+
+    domination._search(g, bound, domination.FULL_MODE_GUARD, visit)
+    return visits, sets
+
+
+@pytest.mark.parametrize("bound, visits, sets", [(8, 851, 1840), (9, 6552, 16072)])
+def test_last_picks_are_visited_in_one_batch(bound, visits, sets):
+    """With one pick left the search hands every valid last pick to one
+    visit, so the figure gadget's sets come in far fewer visits than sets.
+    A visit that returns true ends the search after that one batch."""
+    g = sat_to_graph(FIGURE_CNF).graph
+    assert _batches(g, bound) == (visits, sets)
+    assert len(enumerate_minimal_ve_dominating_sets(g, bound)) == sets
+    assert _batches(g, bound, stop=True)[0] == 1
 
 
 def test_packing_larger_than_the_bound_makes_no_search():
