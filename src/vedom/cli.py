@@ -38,7 +38,7 @@ from .graph import (
     has_tree_size,
     serialize_edge_list,
 )
-from .harness import ORACLE_SWEEP_MAX, cross_validate, lemma_suite
+from .harness import cross_validate, lemma_suite
 from .recognizer import RECOGNITION, RecognitionResult, recognize
 from .reduction import reduce_graph
 
@@ -260,12 +260,6 @@ def _cmd_from_cnf(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.max_n > ORACLE_SWEEP_MAX:
-        print(
-            f"error: --max-n above the oracle sweep limit {ORACLE_SWEEP_MAX}",
-            file=sys.stderr,
-        )
-        return 2
     sweep = lemma_suite if args.lemmas else cross_validate
     report = sweep(args.max_n)
     if args.json:

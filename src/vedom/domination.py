@@ -249,7 +249,9 @@ def enumerate_minimal_ve_dominating_sets(
         minimal.extend([base | 1 << v for v in bit_list(extra)] or [base])
 
     _search(g, size_bound, guard, collect)
-    minimal.sort(key=lambda s: (s.bit_count(), bit_list(s)))
+    # stable sorts: by size, and within one size the set with the lowest differing vertex first
+    minimal.sort(key=lambda s: bin(s)[:1:-1], reverse=True)
+    minimal.sort(key=int.bit_count)
     return minimal
 
 

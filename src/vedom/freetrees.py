@@ -9,12 +9,11 @@ storing anything.  Every candidate is decided on its sequence, as in Wright,
 Richmond, Odlyzko & McKay, "Constant time generation of free trees", SIAM J.
 Comput. 15(2) (1986): the sizes of the root's child subtrees are the gaps
 between successive level-2 entries, so the root is a centroid exactly when
-no gap exceeds n/2, and a gap of exactly n/2 gives the other centroid, at
-which the sequence is re-rooted block by block.  Most candidates fail on
-their first gap, and those come in runs sharing a prefix, so the generator
-jumps past each such run in one successor step instead of visiting it (at
-order 18 it yields 180,324 of the 1,721,159 rooted sequences).  Only kept
-trees become graphs, built straight from their sequences.
+no gap exceeds n/2, and a gap of exactly n/2 gives the other centroid; then
+the tree is kept when its half at the root is at most its other half.  Most
+candidates fail on their first gap, and those come in runs sharing a prefix,
+so the generator jumps past each such run in one successor step (at order 18
+it yields 180,324 of the 1,721,159 rooted sequences).
 
 The canonical sequence doubles as a canonical form: two trees are isomorphic
 iff their centroid-rooted canonical sequences are equal.
@@ -37,12 +36,12 @@ FREE_TREE_COUNTS = (
 )
 
 
-def _sequences(n: int) -> Iterator[tuple[list[int], list[int], int]]:
+def _sequences(n: int) -> Iterator[tuple[list[int], int]]:
     """The successor rule on one list, rewritten in place after each yield,
-    as (seq, starts, big): starts are the level-2 indices, where the root's
-    child subtrees begin, and big is the largest subtree.  A step rewrites
-    only seq[p:], where a level-2 entry can only begin a copy of the block,
-    so the starts before p and their running maxima (lead) carry over.
+    as (seq, big): big is the largest of the root's child subtrees, which
+    begin at the level-2 indices, starts.  A step rewrites only seq[p:],
+    where a level-2 entry can only begin a copy of the block, so the starts
+    before p and their running maxima (lead) carry over.
 
     No sequence whose first child subtree has more than n/2 vertices is
     yielded.  With m = n // 2 + 1, that subtree holds all of seq[1..m], and
@@ -60,7 +59,7 @@ def _sequences(n: int) -> Iterator[tuple[list[int], list[int], int]]:
         if len(starts) == 1 and m < n:
             p = m  # the step after the run's last sequence
         else:
-            yield seq, starts, max(lead[-1], n - starts[-1])
+            yield seq, max(lead[-1], n - starts[-1])
             p = n - 1
             while p and seq[p] <= 2:
                 p -= 1
@@ -158,30 +157,21 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
     has more than n/2 vertices.  With big the largest child subtree of the
     root of a sequence it yields: if 2*big < n the root is the only
     centroid and the sequence is already canonical, so it is kept; if
-    2*big > n (a later subtree is the heavy one) the root is no centroid,
-    and no automorphism maps it onto one, so it is dropped.  If 2*big == n
-    the root of that subtree is the other centroid, and the sequence is
-    kept when it is at least the canonical sequence rooted there, so it is
-    the canonical form.  The skipped sequences fall in the second case."""
+    2*big > n (a later subtree is the heavy one, as in every skipped
+    sequence) the root is no centroid, and no automorphism maps it onto
+    one, so it is dropped.  If 2*big == n the root of that subtree is the
+    other centroid, and the sequence is kept when seq[:1] + seq[big+1:],
+    the rest of the tree rooted at the root, is at most seq[1:big+1] one
+    level up, that subtree rooted at its root.  On all 97,828 two-centroid
+    sequences of the even orders up to 18, this keeps exactly the canonical
+    forms, the sequences at least the one rooted at the other centroid."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}")
-    for seq, starts, big in _sequences(n):
-        if 2 * big < n or 2 * big == n and seq >= _rerooted(seq, starts, n):
+    for seq, big in _sequences(n):
+        if 2 * big < n or 2 * big == n and (
+            seq[:1] + seq[big + 1 :] <= [lvl - 1 for lvl in seq[1 : big + 1]]
+        ):
             yield level_sequence_to_graph(seq)
-
-
-def _rerooted(seq: list[int], starts: list[int], n: int) -> list[int]:
-    """The canonical sequence of seq's tree rooted at the root's child c
-    whose subtree has n/2 vertices: c's own child blocks one level up and
-    the rest of the tree, itself canonical, as one block one level down,
-    in decreasing order."""
-    a = next(a for a, b in zip(starts, starts[1:] + [n]) if 2 * (b - a) == n)
-    b = a + n // 2
-    cuts = [i for i in range(a + 1, b) if seq[i] == 3] + [b]
-    blocks = [[lvl - 1 for lvl in seq[i:j]] for i, j in zip(cuts, cuts[1:])]
-    blocks.append([lvl + 1 for lvl in seq[:a] + seq[b:]])
-    blocks.sort(reverse=True)
-    return [1] + [lvl for block in blocks for lvl in block]
 
 
 def pruefer_to_tree(n: int, seq: list[int]) -> Graph:

@@ -5,8 +5,10 @@ from before the shared ``vedom.graph.traverse`` helper (the forbidden-path
 search builds every leaf's path to every vertex, the canonical sequence
 recurses once per tree level), the free-tree generator that builds a graph
 through ``Graph.from_edges`` for every rooted sequence of its own copy of
-the successor rule, the per-vertex dominated-edge and adjacency masks built
-edge by edge and neighbour by neighbour, the oracle search that
+the successor rule, the two-centroid step that re-rooted a sequence block
+by block to compare it with the other centroid's, the per-vertex
+dominated-edge and adjacency masks built edge by edge and neighbour by
+neighbour, the oracle search that
 generated every cover before filtering for minimality, the oracle report
 that sorted the minimal sets and tested each for independence afterwards,
 and the certificate check that counts dominators through per-vertex edge
@@ -410,6 +412,22 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
         g = level_sequence_to_graph(seq)
         if canonical_form(g) == seq:
             yield g
+
+
+def rerooted(seq: list[int]) -> list[int]:
+    """The library's earlier two-centroid step: the canonical sequence of
+    seq's tree rooted at the root's child c whose subtree has n/2 vertices,
+    c's own child blocks one level up and the rest of the tree, itself
+    canonical, as one block one level down, in decreasing order."""
+    n = len(seq)
+    starts = [i for i, lvl in enumerate(seq) if lvl == 2]
+    a = next(a for a, b in zip(starts, starts[1:] + [n]) if 2 * (b - a) == n)
+    b = a + n // 2
+    cuts = [i for i in range(a + 1, b) if seq[i] == 3] + [b]
+    blocks = [[lvl - 1 for lvl in seq[i:j]] for i, j in zip(cuts, cuts[1:])]
+    blocks.append([lvl + 1 for lvl in seq[:a] + seq[b:]])
+    blocks.sort(reverse=True)
+    return [1] + [lvl for block in blocks for lvl in block]
 
 
 def build_certificate(t: Graph, p: UnitPartition) -> int:

@@ -302,7 +302,10 @@ class TestEnumerate:
         assert data["lemma_failures"] == []
 
     def test_rejects_oversized_sweep(self, capsys):
-        assert main(["enumerate", "--max-n", "16"]) == 2
+        """The library's limit check is the only one: one line on stderr."""
+        for max_n in ("0", "16", "99"):
+            assert main(["enumerate", "--max-n", max_n]) == 2
+            assert capsys.readouterr() == ("", "error: max_n must be in 1..15\n")
 
     def test_threads_is_not_an_enumerate_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

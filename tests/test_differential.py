@@ -2,8 +2,9 @@
 tests/reference.py: same refutation witness, same canonical sequence and
 same certificate, on every small free tree and on seeded random trees; the
 same rooted sequences and the same free trees, labels and order included,
-as the earlier generator, and on larger orders trees that are their own
-canonical forms, each class once; the
+as the earlier generator, the same two-centroid keep decisions as its
+rule that re-rooted each sequence, and on larger orders trees that are
+their own canonical forms, each class once; the
 same certificate check on arbitrary small graphs and vertex sets; and the
 same minimal ve-dominating sets, in the same order, as the oracle's earlier
 generate-then-filter search, on graphs past the 16-vertex cap of the
@@ -37,6 +38,7 @@ from vedom.domination import (
 )
 from vedom.freetrees import (
     FREE_TREE_COUNTS,
+    _sequences,
     canonical_form,
     enumerate_free_trees,
     level_sequence_to_graph,
@@ -126,6 +128,23 @@ def test_free_trees_of_orders_14_to_16_are_their_canonical_forms():
             assert t == reference.level_sequence_to_graph(form)
             forms.append(form)
         assert len(forms) == FREE_TREE_COUNTS[n - 1]
+
+
+def test_two_centroid_rule_matches_rerooting_reference():
+    """The generator keeps a two-centroid sequence when the rest of the tree,
+    rooted at the root, is at most the first child subtree, rooted at that
+    child; the earlier rule kept it when it was at least the reference's
+    sequence re-rooted at the other centroid.  Both agree on every
+    two-centroid sequence of every even order up to 16."""
+    two_centroid = 0
+    for n in range(2, 17, 2):
+        for seq, big in _sequences(n):
+            if 2 * big == n:
+                two_centroid += 1
+                kept = seq[:1] + seq[big + 1 :] <= [lvl - 1 for lvl in seq[1 : big + 1]]
+                assert kept == (seq >= reference.rerooted(seq)), seq
+    # the squares of the rooted-tree counts of orders 1..8
+    assert two_centroid == 16032
 
 
 def test_seeded_random_trees_match_reference():

@@ -4,7 +4,6 @@ import pytest
 
 from vedom.freetrees import (
     FREE_TREE_COUNTS,
-    _rerooted,
     _sequences,
     canonical_form,
     canonical_rooted_sequence,
@@ -47,15 +46,18 @@ class TestRootedSequences:
                 assert canonical_rooted_sequence(g, 0) == seq
 
     def test_carried_starts_and_the_two_centroid_rule(self):
-        """The starts and largest subtree carried across successor steps
-        equal those read off each sequence afresh; with two centroids the
-        re-rooted sequence is the canonical sequence at the other centroid,
-        and the sequence is kept exactly when it is the canonical form.  No
-        two-centroid sequence has a heavy first subtree, so all are met."""
+        """The largest subtree carried across successor steps equals the
+        one read off each sequence afresh; with two centroids they are the
+        root and the root of the subtree of n/2 vertices, the reference's
+        re-rooted sequence is the canonical sequence at the other, and the
+        rule that compares the tree's two halves keeps the sequence exactly
+        when it is the canonical form.  No two-centroid sequence has a heavy
+        first subtree, so all are met."""
         two_centroid = 0
         for n in range(2, 15):
-            for seq, starts, big in _sequences(n):
-                assert (starts, big) == _read(seq, n)
+            for seq, big in _sequences(n):
+                starts, read_big = _read(seq, n)
+                assert big == read_big
                 if 2 * big != n:
                     continue
                 two_centroid += 1
@@ -63,9 +65,9 @@ class TestRootedSequences:
                 ends = starts + [n]
                 other = next(a for a, b in zip(ends, ends[1:]) if 2 * (b - a) == n)
                 assert centroids(g) == [0, other]
-                rerooted = _rerooted(seq, starts, n)
-                assert tuple(rerooted) == canonical_rooted_sequence(g, other)
-                assert (seq >= rerooted) == (canonical_form(g) == tuple(seq))
+                assert tuple(reference.rerooted(seq)) == canonical_rooted_sequence(g, other)
+                kept = seq[:1] + seq[big + 1 :] <= [lvl - 1 for lvl in seq[1 : big + 1]]
+                assert kept == (canonical_form(g) == tuple(seq))
         # a subtree of n/2 vertices joined to a root with n/2 - 1 more below it
         assert two_centroid == sum(ROOTED_TREE_COUNTS[k] ** 2 for k in range(1, 8))
 
@@ -77,7 +79,7 @@ class TestRootedSequences:
                 seq for seq in reference.rooted_level_sequences(n)
                 if 2 * (next((i for i in range(2, n) if seq[i] == 2), n) - 1) <= n
             ]
-            assert [tuple(seq) for seq, _, _ in _sequences(n)] == light
+            assert [tuple(seq) for seq, _ in _sequences(n)] == light
         assert sum(1 for _ in _sequences(12)) == 759
         assert sum(1 for _ in _sequences(15)) == 8810
 
