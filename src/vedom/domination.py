@@ -142,19 +142,24 @@ def _search(
     has a dominator set containing N[v], that of vw, so it gives N[v].
 
     Equal sets are kept once, and the search branches on the first uncovered
-    kept set, smallest first and ties in edge order: for each vertex in it,
-    low bit first, we either include that vertex or exclude it from the rest
-    of the branch, so every cover is generated along exactly one path.
-    Along a branch each member's private sets (kept sets met by no other
-    member) are tracked; once a member has none the branch is abandoned, as
-    no superset gives them back and every subset of a minimal set keeps
-    them, so every cover reached is minimal.  A vertex that completes the
-    cover is visited at once, without a call, as a batch of one.  With one
-    pick left, the valid picks are found in bulk and visited as one batch:
-    the vertices in every uncovered kept set, less those in every private
-    set of some member, which would leave it none.  near is N[chosen] while
+    kept set, smallest first and ties in edge order.  Along a branch each
+    member's private sets (kept sets met by no other member) are tracked;
+    once a member has none the branch is abandoned, as no superset gives
+    them back and every subset of a minimal set keeps them, so every cover
+    reached is minimal.
+
+    Each node visits its completing batch first, then its branches, low bit
+    first.  The candidates in every uncovered kept set complete the cover;
+    the batch is those of them that lie in no member's every private set,
+    as such a pick would leave that member none.  near is N[chosen] while
     the members are independent, and every vertex once they are not, so the
-    independent picks are those outside it.
+    independent picks are those outside it.  With one pick left the node
+    ends there.  Otherwise every completer is excluded from the node's
+    branches, which loses no minimal set: a set holding chosen, another
+    pick and a completer w holds chosen | w, which is already a cover.  For
+    each other candidate, low bit first, the branch either includes it or
+    excludes it from the rest of the node, so every cover is generated
+    along exactly one path.
 
     Under a size bound the kept sets that are disjoint from those before
     them, in search order, form a packing; each needs a member of its own,
@@ -193,34 +198,41 @@ def _search(
             pack += 1
     masks = _spread(g, own)  # per vertex, the kept sets it belongs to
     bound = g.n if size_bound is None else min(size_bound, g.n)
+    meets = {}  # private sets of a member -> the vertices in all of them
 
     def search(
         chosen: int, covered: int, banned: int, private: tuple[int, ...], near: int
     ) -> bool | None:
         rem = ~covered & full
         candidates = family[(rem & -rem).bit_length() - 1] & ~banned
-        if len(private) + 1 == bound:  # one pick left: take every valid one in bulk
-            while rem and candidates:
-                candidates &= family[(rem & -rem).bit_length() - 1]
-                rem &= rem - 1
-            for p in private:
-                inside = candidates
-                while p and inside:
-                    inside &= family[(p & -p).bit_length() - 1]
-                    p &= p - 1
-                candidates ^= inside
-            return candidates and visit(chosen, candidates, candidates & ~near)
+        done, rest = candidates, rem & (rem - 1)  # the picks that complete the cover
+        while rest and done:
+            done &= family[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+        valid = done
+        for p in private:
+            if not valid:
+                break
+            if (meet := meets.get(p)) is None:
+                meet, q = -1, p
+                while q and meet:
+                    meet &= family[(q & -q).bit_length() - 1]
+                    q &= q - 1
+                meets[p] = meet
+            valid &= ~meet
+        if valid and visit(chosen, valid, valid & ~near):
+            return True
+        if len(private) + 1 == bound:  # one pick left
+            return False
+        candidates ^= done
+        banned |= done
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit
             v = bit.bit_length() - 1
-            now = covered | masks[v]
             keep = (~masks[v]).__and__  # what a member keeps private once v joins
-            if now == full:
-                if all(map(keep, private)) and visit(chosen, bit, bit & ~near):
-                    return True
-            elif all(kept := tuple(map(keep, private))) and search(
-                chosen | bit, now, banned, kept + (now ^ covered,),
+            if all(kept := tuple(map(keep, private))) and search(
+                chosen | bit, covered | masks[v], banned, kept + (masks[v] & rem,),
                 -1 if near & bit else near | closed[v],
             ):
                 return True

@@ -391,8 +391,9 @@ ALL_SIGN_PATTERNS_CNF = CnfInstance(3, tuple(itertools.product((1, -1), (2, -2),
 def test_size_bound_prunes_with_the_packing(f, extra, calls):
     """At bounds 2n and 2n + 1 the gadget's packing is its 2n pendant sets
     {x, y, u} and {u', w, z}, which fits the bound, so the search runs; a
-    node with one pick left makes no call, so the bulk last pick leaves
-    these counts as they were.  The sets are those of full mode."""
+    node's completing picks are visited in one batch without a call, so
+    batching leaves these counts as they were.  The sets are those of full
+    mode."""
     g = sat_to_graph(f).graph
     bound = 2 * f.variable_count + extra
     sets = []
@@ -416,12 +417,19 @@ def _batches(g, bound, stop=False):
     return visits, sets
 
 
-@pytest.mark.parametrize("bound, visits, sets", [(8, 851, 1840), (9, 6552, 16072)])
-def test_last_picks_are_visited_in_one_batch(bound, visits, sets):
-    """With one pick left the search hands every valid last pick to one
-    visit, so the figure gadget's sets come in far fewer visits than sets.
+@pytest.mark.parametrize(
+    "g, bound, visits, sets",
+    [
+        (sat_to_graph(FIGURE_CNF).graph, 8, 851, 1840),
+        (sat_to_graph(FIGURE_CNF).graph, 9, 5563, 16072),
+        (path_graph(20), None, 478, 877),
+    ],
+    ids=["figure-8", "figure-9", "P20-full"],
+)
+def test_completing_picks_are_visited_in_batches(g, bound, visits, sets):
+    """Every node hands all of its valid completing picks to one visit, in
+    full mode as under a bound, so the sets come in fewer visits than sets.
     A visit that returns true ends the search after that one batch."""
-    g = sat_to_graph(FIGURE_CNF).graph
     assert _batches(g, bound) == (visits, sets)
     assert len(enumerate_minimal_ve_dominating_sets(g, bound)) == sets
     assert _batches(g, bound, stop=True)[0] == 1
