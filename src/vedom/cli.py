@@ -2,8 +2,9 @@
 
 Subcommands: analyze, recognize, reduce, expand, decompose, from-cnf,
 enumerate.  Exit codes: 0 success, 1 a checked property was violated,
-2 bad input.  All output is deterministic for fixed inputs and flags;
---json switches to a stable JSON rendering.
+2 bad input.  All output is deterministic for fixed inputs and flags, except
+the elapsed_seconds field of enumerate --json; --json switches to a stable
+JSON rendering.
 """
 
 from __future__ import annotations

@@ -27,9 +27,8 @@ from .graph import Graph, _tree, has_tree_size, traverse
 
 MAX_ENUMERATION_ORDER = 18
 
-# number of free trees on 1..18 vertices; used as a cross-check, with the
-# small orders independently reproducible from labeled trees (the tests
-# enumerate them by Pruefer decoding)
+# number of free trees on 1..18 vertices; used as a cross-check (the tests
+# prove orders 1..14 complete by counting each tree's labelings)
 FREE_TREE_COUNTS = (
     1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
     19320, 48629, 123867,

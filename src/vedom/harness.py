@@ -75,7 +75,7 @@ def _check_tree(t: Graph, lemmas: bool) -> tuple[bool, bool, list[tuple[str, str
             if not all(map(is_well_ve_dominated, _components_without(t, (c,)))):
                 fail(("cut-vertex-components", f"{_graph_tag(t)} vertex {c}"))
     if result.case == "T2":
-        _check_unit_cut_additivity(result.reduced_tree, result, fail)
+        _check_unit_cut_additivity(result, fail)
     return result.verdict, is_wvd, failures
 
 
@@ -188,16 +188,11 @@ def _components_without(t: Graph, cut: tuple[int, ...]) -> Iterator[Graph]:
             yield _induced(t, sorted(_reach(t, start, seen)))[0]
 
 
-def _check_unit_cut_additivity(t2: Graph, result, fail) -> None:
-    partition = result.partition
+def _check_unit_cut_additivity(result, fail) -> None:
+    t2, partition = result.reduced_tree, result.partition
     total = oracle_report(t2).gamma_ve
     for edge in partition.backbone_edges:
         left, right = unit_cut_decompose(t2, partition, edge=edge)
         parts = oracle_report(left).gamma_ve + oracle_report(right).gamma_ve
         if parts != total:
-            fail(
-                (
-                    "unit-cut-additivity",
-                    f"{_graph_tag(t2)} edge {edge}: {parts} != {total}",
-                )
-            )
+            fail(("unit-cut-additivity", f"{_graph_tag(t2)} edge {edge}: {parts} != {total}"))

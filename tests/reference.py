@@ -24,15 +24,17 @@ in three places from the library's own stages, and the lemma suite's
 qualifying cut edges and vertices, each spelling out the length-2 path
 rule.  The others are
 definitional oracles: the 2^n subset sweep, minimality by single-vertex
-removal, the truth-table satisfiability check and the labeled-tree
-enumeration by textbook Pruefer decoding.  They are slow but simple, so the
-tests compare the library against them.
+removal, the truth-table satisfiability check, textbook Pruefer decoding
+and a tree's automorphism count from its centroid-rooted subtree codes.
+They are slow but simple, so the tests compare the library against them.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from itertools import groupby
 from typing import Iterator
 
 from vedom.constructions import CnfInstance
@@ -224,29 +226,6 @@ def sat_decide_by_truth_table(f: CnfInstance) -> bool:
     return False
 
 
-def labeled_trees(n: int) -> Iterator[Graph]:
-    """All n^(n-2) labeled trees via Pruefer decoding; the slow oracle used
-    to validate the canonical enumeration on small orders."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n == 1:
-        yield Graph.from_edges(1, [])
-        return
-    if n == 2:
-        yield Graph.from_edges(2, [(0, 1)])
-        return
-    seq = [0] * (n - 2)
-    while True:
-        yield pruefer_to_tree(n, seq)
-        i = n - 3
-        while i >= 0 and seq[i] == n - 1:
-            seq[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        seq[i] += 1
-
-
 def pruefer_to_tree(n: int, seq: list[int]) -> Graph:
     """Textbook Pruefer decoding, n >= 2: join the smallest leaf to each
     entry in turn, then join the last two leaves.  Decoding always gives a
@@ -369,6 +348,31 @@ def canonical_rooted_sequence(g: Graph, root: int) -> tuple[int, ...]:
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     return max(canonical_rooted_sequence(g, c) for c in centroids(g))
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(g)| of a tree, from subtree codes rooted at its centroids: at
+    each vertex, m children with equal codes permute in m! ways, times the
+    children's own counts.  Two centroids split the tree at the edge between
+    them, which every automorphism keeps, swapping the halves when equal."""
+
+    def rooted(v: int, parent: int) -> tuple[tuple, int]:
+        codes, count = [], 1
+        for u in g.adj[v]:
+            if u != parent:
+                code, k = rooted(u, v)
+                codes.append(code)
+                count *= k
+        codes.sort()
+        for _, same in groupby(codes):
+            count *= math.factorial(len(list(same)))
+        return tuple(codes), count
+
+    cs = centroids(g)
+    if len(cs) == 1:
+        return rooted(cs[0], -1)[1]
+    (a, x), (b, y) = rooted(cs[0], cs[1]), rooted(cs[1], cs[0])
+    return x * y * (2 if a == b else 1)
 
 
 def rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:

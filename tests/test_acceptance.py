@@ -25,10 +25,9 @@ from vedom.constructions import (
 from vedom.domination import (
     enumerate_minimal_ve_dominating_sets,
     is_minimal_ve_dominating,
-    is_well_ve_dominated,
     oracle_report,
 )
-from vedom.freetrees import enumerate_free_trees
+from vedom.freetrees import FREE_TREE_COUNTS, enumerate_free_trees
 from vedom.graph import bit_list, mask_from
 from vedom.harness import lemma_suite
 from vedom.recognizer import find_forbidden_configuration, recognize, verify_certificate
@@ -88,8 +87,6 @@ def test_criterion_1_path_classification():
 
 
 def test_criterion_2_recognizer_equals_oracle(tree_sweep):
-    from vedom.freetrees import FREE_TREE_COUNTS
-
     records, elapsed = tree_sweep
     failures = [
         f"order {n}: recognizer={res.verdict} oracle={rep.is_well_ve_dominated}"
@@ -227,8 +224,14 @@ def test_criterion_6_sat_reduction():
 
 
 def test_criterion_7_lemma_suite():
+    """The whole report: no lemma failure, the recognizer equal to
+    is_well_ve_dominated on every tree of the full census."""
     report = lemma_suite(SWEEP_MAX)
-    failures = list(report.lemma_failures)
+    failures = list(report.lemma_failures) + report.recognizer_oracle_mismatches
+    if report.trees_checked != {n: FREE_TREE_COUNTS[n - 1] for n in range(1, SWEEP_MAX + 1)}:
+        failures.append(f"trees checked {report.trees_checked}, expected the full census")
+    if not report.ok:
+        failures.append("report not ok")
     _finish(
         7,
         "lemma suite",
@@ -252,18 +255,6 @@ def test_criterion_8_chain_sanity(tree_sweep):
     _finish(8, "domination chain", failures, f"{checked} trees")
 
 
-def test_verdict_equals_report_on_sweep(tree_sweep):
-    """The oracle's verdict search, which stops at the second distinct size,
-    agrees with the full report on every tree up to order 15."""
-    records, _ = tree_sweep
-    failures = [
-        f"order {n} {t.edges}"
-        for n, t, _, rep in records
-        if is_well_ve_dominated(t) != rep.is_well_ve_dominated
-    ]
-    assert not failures, failures[:5]
-
-
 def test_sweep_reports_match_reference(tree_sweep):
     """The sweep's full oracle reports, size multiset, extremes, independent
     sizes and witnesses included, equal the earlier report that sorted the
@@ -279,17 +270,24 @@ def test_sweep_reports_match_reference(tree_sweep):
 
 def test_recognizer_searches_match_reference_on_sweep(tree_sweep):
     """Forbidden-path witnesses on every tree up to order 15 and on its
-    reduced tree, and certificate checks on every T2 certificate, equal the
-    earlier implementations."""
+    reduced tree, and the certificate and its check on every T2 tree, equal
+    the earlier implementations.  build_certificate colours by depth parity
+    in a walk of the whole tree, the reference by a walk of the backbone
+    subtree alone."""
     records, _ = tree_sweep
     failures = []
+    t2_trees = 0
     for n, t, res, _ in records:
         for g in (t, res.reduced_tree):
             got = find_forbidden_configuration(g)
             if got != reference.find_forbidden_configuration(g):
                 failures.append(f"order {n} {g.edges}: witness {got}")
         if res.case == "T2":
-            t2, cert = res.reduced_tree, res.certificate
+            t2_trees += 1
+            t2, p, cert = res.reduced_tree, res.partition, res.certificate
+            if cert != reference.build_certificate(t2, p):
+                failures.append(f"order {n} {t2.edges}: certificate")
             if verify_certificate(t2, cert) != reference.verify_certificate(t2, cert):
                 failures.append(f"order {n} {t2.edges}: certificate check")
     assert not failures, failures[:5]
+    assert t2_trees == 116  # of the 131 accepted trees; the other 15 are T1

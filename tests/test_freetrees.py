@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -17,7 +19,6 @@ from vedom.constructions import path_graph
 from vedom.graph import _TREE, Graph, is_tree
 
 from tests import reference
-from tests.reference import labeled_trees
 from tests.strategies import relabeled, star
 
 ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
@@ -119,12 +120,27 @@ class TestFreeTreeEnumeration:
             forms = [canonical_form(t) for t in enumerate_free_trees(n)]
             assert len(forms) == len(set(forms))
 
-    def test_matches_labeled_tree_oracle(self):
-        # every labeled tree's class appears, and nothing else
-        for n in range(1, 9):
-            from_labeled = {canonical_form(t) for t in labeled_trees(n)}
-            from_enum = {canonical_form(t) for t in enumerate_free_trees(n)}
-            assert from_labeled == from_enum
+    def test_census_is_complete_by_counting_labelings(self):
+        """A free tree T of order n has n!/|Aut(T)| labelings, and Cayley's
+        n^(n-2) labeled trees are all of them.  So trees of distinct codes
+        whose labelings sum to n^(n-2) are every class exactly once."""
+        for n in range(1, 15):
+            trees = list(enumerate_free_trees(n))
+            assert len({canonical_form(t) for t in trees}) == len(trees)
+            labelings = sum(math.factorial(n) // reference.automorphism_count(t) for t in trees)
+            assert labelings == n ** (n - 2)
+
+    def test_canonical_form_is_invariant_under_relabeling(self):
+        """Distinct codes are distinct classes only if every labeling of a
+        tree gets the same code; each tree up to order 12, five relabelings."""
+        rng = random.Random(20261020)
+        for n in range(1, 13):
+            for t in enumerate_free_trees(n):
+                form = canonical_form(t)
+                for _ in range(5):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    assert canonical_form(relabeled(t, perm)) == form
 
     def test_deterministic_order(self):
         first = [t.edges for t in enumerate_free_trees(7)]
@@ -171,12 +187,6 @@ class TestDeepTrees:
         spider = Graph.from_edges(n, edges)
         assert spider.n == 3000 and is_tree(spider)
         assert not trees_isomorphic(path_graph(3000), spider)
-
-
-def test_labeled_tree_counts():
-    # Cayley: n^(n-2) labeled trees
-    assert sum(1 for _ in labeled_trees(4)) == 16
-    assert sum(1 for _ in labeled_trees(5)) == 125
 
 
 def test_pruefer_decoding_matches_reference():
