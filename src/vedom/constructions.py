@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .domination import SIZE_BOUNDED_VERTEX_GUARD, InstanceTooLargeError, _masks
+from .domination import SIZE_BOUNDED_VERTEX_GUARD, InstanceTooLargeError, dominated_edge_masks
 from .graph import Graph, _induced, _reach, _tree, check_order, require_tree
 from .recognizer import (
     LABEL_BACKBONE,
@@ -221,7 +221,7 @@ def sat_decide_via_graph(f: CnfInstance | SatReductionMap) -> bool:
     _check_gadget_guard(f)
     gadget = f if isinstance(f, SatReductionMap) else sat_to_graph(f)
     g = gadget.graph
-    masks = _masks(g)
+    masks = dominated_edge_masks(g)
     full = (1 << len(g.edges)) - 1
     n = len(gadget.x)
     choice_masks = [

@@ -41,7 +41,7 @@ def _spread(g: Graph, own: list[int]) -> list[int]:
     return spread
 
 
-def _masks(g: Graph) -> list[int]:
+def dominated_edge_masks(g: Graph) -> list[int]:
     """Per vertex v, the mask of the edges v ve-dominates, the edges at the
     members of N[v]; O(n + m) mask steps."""
     inc = [0] * g.n
@@ -49,11 +49,6 @@ def _masks(g: Graph) -> list[int]:
         inc[a] |= 1 << idx
         inc[b] |= 1 << idx
     return _spread(g, inc)
-
-
-def dominated_edge_masks(g: Graph) -> list[int]:
-    """For each vertex v, the mask of edges ve-dominated by v."""
-    return _masks(g)
 
 
 def ve_dominated_edges(g: Graph, v: int) -> int:
@@ -68,7 +63,7 @@ def _coverage(g: Graph, s: int) -> tuple[list[int], int, int]:
     """Dominated-edge masks, and the edges ve-dominated by at least one and
     by at least two members of s, tallied in one pass over the members."""
     check_vertex_set(g, s)
-    masks = _masks(g)
+    masks = dominated_edge_masks(g)
     once = twice = 0
     for v in bit_list(s):
         twice |= once & masks[v]

@@ -171,31 +171,3 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
             seq[:1] + seq[big + 1 :] <= [lvl - 1 for lvl in seq[1 : big + 1]]
         ):
             yield level_sequence_to_graph(seq)
-
-
-def pruefer_to_tree(n: int, seq: list[int]) -> Graph:
-    """The tree on n >= 2 vertices with Pruefer sequence seq, built from its
-    (min, max) pairs unchecked, since decoding gives a tree, and so recorded."""
-    if len(seq) != n - 2 or not all(0 <= v < n for v in seq):
-        raise ValueError(f"not a Pruefer sequence of a tree on {n} vertices")
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    ptr = 0
-    leaf = -1
-    for v in seq:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-        edges.append((leaf, v) if leaf < v else (v, leaf))
-        degree[leaf] -= 1
-        degree[v] -= 1
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            leaf = -1
-    last = [v for v in range(n) if degree[v] == 1]
-    edges.append((last[0], last[1]))
-    return _tree(Graph._build(n, edges))

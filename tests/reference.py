@@ -32,7 +32,6 @@ They are slow but simple, so the tests compare the library against them.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from itertools import groupby
 from typing import Iterator
@@ -57,7 +56,7 @@ from vedom.recognizer import (
     Refutation,
     UnitPartition,
 )
-from vedom import freetrees, recognizer, reduction
+from vedom import recognizer, reduction
 from vedom.reduction import ReductionMap
 
 
@@ -749,17 +748,3 @@ def recognize(t: Graph) -> recognizer.RecognitionResult:
         certificate=cert,
         refutation=None,
     )
-
-
-def random_leaf_duplicated_tree(rng: random.Random, max_order: int) -> Graph:
-    """The library's earlier sampler: after every added twin leaf it lists
-    the leaves again and rebuilds the graph through ``Graph.from_edges``."""
-    base_n = rng.randint(2, max(2, max_order - 2))
-    g = freetrees.pruefer_to_tree(base_n, [rng.randrange(base_n) for _ in range(base_n - 2)])
-    while g.n < max_order and rng.random() < 0.7:
-        leaves = [v for v in range(g.n) if g.degree(v) == 1]
-        if not leaves:
-            break
-        support = g.adj[rng.choice(leaves)][0]
-        g = Graph.from_edges(g.n + 1, list(g.edges) + [(support, g.n)])
-    return g

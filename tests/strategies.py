@@ -1,12 +1,12 @@
-"""Hypothesis strategies, the relabelling helper and the star graph shared by
-the test modules; paths come from ``vedom.constructions.path_graph``."""
+"""Hypothesis strategies, the relabelling helper, the star graph and the
+Pruefer decoder shared by the test modules; paths come from
+``vedom.constructions.path_graph``."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from vedom.freetrees import pruefer_to_tree
-from vedom.graph import Graph
+from vedom.graph import Graph, _tree
 
 
 @st.composite
@@ -47,3 +47,31 @@ def relabeled(g: Graph, perm: list[int]) -> Graph:
     if sorted(perm) != list(range(g.n)):
         raise ValueError("not a permutation of the vertex range")
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def pruefer_to_tree(n: int, seq: list[int]) -> Graph:
+    """The tree on n >= 2 vertices with Pruefer sequence seq, built from its
+    (min, max) pairs unchecked, since decoding gives a tree, and so recorded."""
+    if len(seq) != n - 2 or not all(0 <= v < n for v in seq):
+        raise ValueError(f"not a Pruefer sequence of a tree on {n} vertices")
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    ptr = 0
+    leaf = -1
+    for v in seq:
+        if leaf < 0:
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+        edges.append((leaf, v) if leaf < v else (v, leaf))
+        degree[leaf] -= 1
+        degree[v] -= 1
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            leaf = -1
+    last = [v for v in range(n) if degree[v] == 1]
+    edges.append((last[0], last[1]))
+    return _tree(Graph._build(n, edges))

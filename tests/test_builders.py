@@ -18,12 +18,12 @@ import pytest
 import vedom
 from vedom import graph
 from vedom.constructions import expand_backbone, path_graph, unit_cut_decompose, unit_cut_extend
-from vedom.freetrees import enumerate_free_trees, pruefer_to_tree
+from vedom.freetrees import enumerate_free_trees
 from vedom.graph import Graph, has_tree_size, traverse
-from vedom.harness import random_leaf_duplicated_tree
 from vedom.recognizer import unit_partition, validate_unit_partition
 
 from tests import reference
+from tests.strategies import pruefer_to_tree
 
 
 def _assert_checked_tree(g: Graph) -> None:
@@ -90,12 +90,6 @@ class TestBuildersMatchTheCheckedConstructor:
                 assert sides == reference.unit_cut_sides(t, e)
                 for side in sides:
                     _assert_checked_tree(side)
-
-    def test_seeded_leaf_duplicated_trees(self):
-        rng = random.Random(1903)
-        for max_order in range(2, 16):
-            for _ in range(200):
-                _assert_checked_tree(random_leaf_duplicated_tree(rng, max_order))
 
     @pytest.mark.parametrize(
         "n, seq", [(4, []), (4, [0, 1, 2]), (4, [0, 4]), (4, [-1, 0]), (1, []), (0, [])]

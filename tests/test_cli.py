@@ -18,11 +18,12 @@ from vedom import cli, constructions, graph
 from vedom.cli import main
 from vedom.constructions import expand_backbone, parse_dimacs_cnf, sat_to_graph, unit_cut_decompose
 from vedom.domination import oracle_report
-from vedom.freetrees import pruefer_to_tree
 from vedom.graph import Graph, parse_edge_list, serialize_edge_list
 from vedom.harness import lemma_suite
 from vedom.recognizer import recognize
 from vedom.reduction import reduce_graph
+
+from tests.strategies import pruefer_to_tree
 
 P6 = "n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 P7 = "n 7\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n"

@@ -42,7 +42,6 @@ from vedom.freetrees import (
     canonical_form,
     enumerate_free_trees,
     level_sequence_to_graph,
-    pruefer_to_tree,
 )
 from vedom.graph import Graph, GraphFormatError, _parse_edge_list, induced_delete, mask_from
 from vedom.harness import _components_without, _qualifying_cut_edges, _qualifying_cut_vertices
@@ -57,7 +56,7 @@ from vedom.recognizer import (
 from vedom.reduction import is_reduced, reduce_graph
 
 from tests import reference
-from tests.strategies import graphs, permutations_of, relabeled
+from tests.strategies import graphs, permutations_of, pruefer_to_tree, relabeled
 
 
 def _random_tree(rng: random.Random, lo: int, hi: int):

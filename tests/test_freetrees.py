@@ -12,14 +12,13 @@ from vedom.freetrees import (
     centroids,
     enumerate_free_trees,
     level_sequence_to_graph,
-    pruefer_to_tree,
     trees_isomorphic,
 )
 from vedom.constructions import path_graph
 from vedom.graph import _TREE, Graph, is_tree
 
 from tests import reference
-from tests.strategies import relabeled, star
+from tests.strategies import pruefer_to_tree, relabeled, star
 
 ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
 

@@ -1,21 +1,20 @@
+import dataclasses
 import json
-import random
 
 import pytest
 
+from vedom import harness
 from vedom.constructions import expand_backbone, path_graph
-from vedom.freetrees import FREE_TREE_COUNTS
-from vedom.graph import is_tree
+from vedom.freetrees import FREE_TREE_COUNTS, enumerate_free_trees
 from vedom.harness import (
     ValidationReport,
+    _graph_tag,
     _qualifying_cut_edges,
     _qualifying_cut_vertices,
     cross_validate,
     lemma_suite,
-    random_leaf_duplicated_tree,
 )
-
-from tests import reference
+from vedom.reduction import is_reduced
 
 
 class TestCrossValidate:
@@ -63,6 +62,52 @@ class TestLemmaSuite:
         assert lemmas.recognizer_oracle_mismatches == cross.recognizer_oracle_mismatches
 
 
+class TestReductionTransport:
+    """Check (a) compares each swept tree's verdict with the verdict of the
+    reduced tree in its recognizer result."""
+
+    def test_a_wrong_reduced_tree_is_reported(self, monkeypatch):
+        """Every rejected tree with twins is given P_2, which is
+        well-ve-dominated, as its reduced tree; each is reported, and
+        nothing else is."""
+        recognize, patched = harness.recognize, []
+
+        def wrong_reduction(t):
+            result = recognize(t)
+            if result.reduced_tree is t or result.verdict:
+                return result
+            patched.append(_graph_tag(t))
+            return dataclasses.replace(result, reduced_tree=path_graph(2))
+
+        monkeypatch.setattr(harness, "recognize", wrong_reduction)
+        report = lemma_suite(8)
+        assert patched
+        assert report.lemma_failures == [("reduction-transport", tag) for tag in patched]
+        assert report.recognizer_oracle_mismatches == []
+
+    def test_every_tree_with_twins_asks_for_its_reduced_trees_verdict(self, monkeypatch):
+        recognize, is_wvd = harness.recognize, harness.is_well_ve_dominated
+        reduced, asked = [], []
+
+        def recorded_recognize(t):
+            result = recognize(t)
+            if result.reduced_tree is not t:
+                reduced.append(result.reduced_tree)
+            return result
+
+        def recorded_is_wvd(g):
+            asked.append(g)
+            return is_wvd(g)
+
+        monkeypatch.setattr(harness, "recognize", recorded_recognize)
+        monkeypatch.setattr(harness, "is_well_ve_dominated", recorded_is_wvd)
+        assert lemma_suite(8).ok
+        with_twins = sum(not is_reduced(t) for n in range(1, 9) for t in enumerate_free_trees(n))
+        assert len(reduced) == with_twins > 0
+        asked_ids = {id(g) for g in asked}  # every graph stays alive in its list
+        assert all(id(g) in asked_ids for g in reduced)
+
+
 class TestQualifyingHypotheses:
     def test_path_six_edges(self):
         assert _qualifying_cut_edges(path_graph(6)) == [(2, 3)]
@@ -76,37 +121,6 @@ class TestQualifyingHypotheses:
     def test_expansion_middle_backbone_qualifies(self):
         t, _ = expand_backbone(path_graph(3))
         assert 1 in _qualifying_cut_vertices(t)
-
-
-class TestRandomLeafDuplication:
-    def test_respects_cap_and_treeness(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            g = random_leaf_duplicated_tree(rng, 12)
-            assert g.n <= 12
-            assert is_tree(g)
-
-    def test_deterministic_for_seed(self):
-        a = [random_leaf_duplicated_tree(random.Random(3), 12).edges for _ in range(5)]
-        b = [random_leaf_duplicated_tree(random.Random(3), 12).edges for _ in range(5)]
-        assert a == b
-
-    def test_same_draws_and_trees_as_the_rebuilding_sampler(self):
-        """Two identically seeded generators, one through the earlier
-        sampler that rebuilds its graph after every added leaf: after each
-        call the trees are equal and so are the generators' states.  Max
-        order 3 always starts from P_2, whose chosen leaf's support is the
-        other leaf, and some samples there add one."""
-        for max_order in range(2, 16):
-            ours, theirs = random.Random(max_order), random.Random(max_order)
-            orders = set()
-            for _ in range(2000):
-                g = random_leaf_duplicated_tree(ours, max_order)
-                assert g == reference.random_leaf_duplicated_tree(theirs, max_order)
-                assert ours.getstate() == theirs.getstate()
-                orders.add(g.n)
-            if max_order == 3:
-                assert orders == {2, 3}
 
 
 def test_report_json_shape():

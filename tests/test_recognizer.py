@@ -8,7 +8,7 @@ import vedom.graph
 import vedom.recognizer
 from vedom.constructions import expand_backbone, path_graph
 from vedom.domination import is_minimal_ve_dominating, oracle_report
-from vedom.freetrees import enumerate_free_trees, pruefer_to_tree, trees_isomorphic
+from vedom.freetrees import enumerate_free_trees, trees_isomorphic
 from vedom.graph import (
     Graph,
     NotATreeError,
@@ -29,7 +29,7 @@ from vedom.recognizer import (
     verify_certificate,
 )
 
-from tests.strategies import star, trees
+from tests.strategies import pruefer_to_tree, star, trees
 
 
 def spider_two_legs(legs=3):
@@ -189,7 +189,6 @@ class TestNoQuadraticWork:
         cert = build_certificate(t, p)
         monkeypatch.setattr(Graph, "has_edge", forbidden)
         monkeypatch.setattr(vedom.domination, "dominated_edge_masks", forbidden)
-        monkeypatch.setattr(vedom.domination, "_masks", forbidden)
         monkeypatch.setattr(vedom.recognizer, "dominated_edge_masks", forbidden, raising=False)
         assert t.n == 3000
         assert verify_certificate(t, cert).passed
