@@ -266,10 +266,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(report.to_json_dict())
     else:
-        print("order  trees  well-ve-dominated")
+        width = max(5, len(str(max(report.trees_checked.values()))))
+        print(f"order  {'trees':>{width}}  well-ve-dominated")
         for n in sorted(report.trees_checked):
             print(
-                f"{n:>5}  {report.trees_checked[n]:>5}  {report.wvd_tree_census[n]:>5}"
+                f"{n:>5}  {report.trees_checked[n]:>{width}}  {report.wvd_tree_census[n]:>5}"
             )
         print(f"mismatches: {len(report.recognizer_oracle_mismatches)}")
         for line in report.recognizer_oracle_mismatches:

@@ -16,12 +16,9 @@ from typing import Iterator
 
 from .constructions import unit_cut_decompose
 from .domination import is_well_ve_dominated, oracle_report
-from .freetrees import enumerate_free_trees
+from .freetrees import MAX_ENUMERATION_ORDER, enumerate_free_trees
 from .graph import Graph, _induced, _reach, serialize_edge_list
 from .recognizer import find_forbidden_configuration, recognize
-
-ORACLE_SWEEP_MAX = 15        # full oracle per tree; enumeration alone goes to 18
-ORACLE_HEAVY_MAX = 12        # suites that oracle many derived graphs per tree
 
 
 @dataclass
@@ -60,12 +57,12 @@ def _check_tree(t: Graph, lemmas: bool) -> tuple[bool, bool, list[tuple[str, str
         return result.verdict, is_wvd, failures
     fail = failures.append
     t2 = result.reduced_tree  # t itself when t has no twins
-    if t.n <= ORACLE_HEAVY_MAX and t2 is not t and is_well_ve_dominated(t2) != is_wvd:
+    if t2 is not t and is_well_ve_dominated(t2) != is_wvd:
         fail(("reduction-transport", _graph_tag(t)))
     if is_wvd:
         if find_forbidden_configuration(t) is not None:
             fail(("forbidden-config-soundness", _graph_tag(t)))
-        if t.n <= ORACLE_HEAVY_MAX and not oracle_report(t).is_well_ve_covered:
+        if not oracle_report(t).is_well_ve_covered:
             fail(("wvd-implies-wvc", _graph_tag(t)))
         for u, v in _qualifying_cut_edges(t):
             if not all(map(is_well_ve_dominated, _components_without(t, (u, v)))):
@@ -79,8 +76,8 @@ def _check_tree(t: Graph, lemmas: bool) -> tuple[bool, bool, list[tuple[str, str
 
 
 def _check_args(max_n: int) -> None:
-    if not 1 <= max_n <= ORACLE_SWEEP_MAX:
-        raise ValueError(f"max_n must be in 1..{ORACLE_SWEEP_MAX}")
+    if not 1 <= max_n <= MAX_ENUMERATION_ORDER:
+        raise ValueError(f"max_n must be in 1..{MAX_ENUMERATION_ORDER}")
 
 
 def _sweep(report: ValidationReport, lemmas: bool) -> ValidationReport:
@@ -145,8 +142,7 @@ def lemma_suite(max_n: int) -> ValidationReport:
     (f) gamma_ve is additive across every unit-cut edge of recognized trees.
 
     All run on the cross_validate sweep, whose counts, census and mismatches
-    the report carries too; the oracle-heavy checks (a, e) cap at
-    ORACLE_HEAVY_MAX vertices.
+    the report carries too.
     """
     _check_args(max_n)
     return _sweep(ValidationReport(max_order=max_n), lemmas=True)

@@ -19,7 +19,7 @@ from vedom.cli import main
 from vedom.constructions import expand_backbone, parse_dimacs_cnf, sat_to_graph, unit_cut_decompose
 from vedom.domination import oracle_report
 from vedom.graph import Graph, parse_edge_list, serialize_edge_list
-from vedom.harness import lemma_suite
+from vedom.harness import ValidationReport, lemma_suite
 from vedom.recognizer import recognize
 from vedom.reduction import reduce_graph
 
@@ -303,10 +303,37 @@ class TestEnumerate:
         assert data["lemma_failures"] == []
 
     def test_rejects_oversized_sweep(self, capsys):
-        """The library's limit check is the only one: one line on stderr."""
-        for max_n in ("0", "16", "99"):
+        """The library's limit check, the enumerator's, is the only one:
+        one line on stderr."""
+        for max_n in ("0", "19", "99"):
             assert main(["enumerate", "--max-n", max_n]) == 2
-            assert capsys.readouterr() == ("", "error: max_n must be in 1..15\n")
+            assert capsys.readouterr() == ("", "error: max_n must be in 1..18\n")
+
+    def test_table_widens_only_for_six_digit_counts(self, monkeypatch, capsys):
+        """Order 18's 123,867 trees widen the trees column, header too;
+        up to order 17 the table keeps its five-wide column."""
+        counts = {16: (19320, 66), 17: (48629, 100), 18: (123867, 161)}
+
+        def fake_sweep(max_n):
+            report = ValidationReport(max_order=max_n)
+            for n in range(16, max_n + 1):
+                report.trees_checked[n], report.wvd_tree_census[n] = counts[n]
+            return report
+
+        monkeypatch.setattr(cli, "cross_validate", fake_sweep)
+        assert main(["enumerate", "--max-n", "17"]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "order  trees  well-ve-dominated",
+            "   16  19320     66",
+            "   17  48629    100",
+        ]
+        assert main(["enumerate", "--max-n", "18"]) == 0
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "order   trees  well-ve-dominated",
+            "   16   19320     66",
+            "   17   48629    100",
+            "   18  123867    161",
+        ]
 
     def test_threads_is_not_an_enumerate_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,8 @@ from vedom.harness import (
 )
 from vedom.reduction import is_reduced
 
+from tests.strategies import star
+
 
 class TestCrossValidate:
     def test_no_mismatches_up_to_nine(self):
@@ -38,9 +40,13 @@ class TestCrossValidate:
         for n in range(1, 7):
             assert 0 <= report.wvd_tree_census[n] <= report.trees_checked[n]
 
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            cross_validate(16)
+    def test_range_check(self, monkeypatch):
+        """The sweep reaches as far as the enumerator: every order 1-18 is
+        swept, and 19 is refused before any work."""
+        monkeypatch.setattr(harness, "enumerate_free_trees", lambda n: iter(()))
+        assert cross_validate(18).trees_checked == dict.fromkeys(range(1, 19), 0)
+        with pytest.raises(ValueError, match=r"^max_n must be in 1\.\.18$"):
+            cross_validate(19)
 
 
 class TestLemmaSuite:
@@ -48,11 +54,6 @@ class TestLemmaSuite:
         report = lemma_suite(9)
         assert report.lemma_failures == []
         assert report.ok
-
-    def test_transport_sampling_is_deterministic(self):
-        a = lemma_suite(3)
-        b = lemma_suite(3)
-        assert a.lemma_failures == b.lemma_failures == []
 
     def test_sweep_matches_cross_validate(self):
         lemmas = lemma_suite(8)
@@ -106,6 +107,26 @@ class TestReductionTransport:
         assert len(reduced) == with_twins > 0
         asked_ids = {id(g) for g in asked}  # every graph stays alive in its list
         assert all(id(g) in asked_ids for g in reduced)
+
+    def test_oracle_heavy_checks_run_above_order_twelve(self, monkeypatch):
+        """On the 13-vertex star, (a) asks for the verdict of its reduced
+        tree P_2, and (e) takes the star's full report."""
+        is_wvd, report = harness.is_well_ve_dominated, harness.oracle_report
+        asked, reported = [], []
+
+        def recorded_is_wvd(g):
+            asked.append(g.n)
+            return is_wvd(g)
+
+        def recorded_report(g):
+            reported.append(g.n)
+            return report(g)
+
+        monkeypatch.setattr(harness, "is_well_ve_dominated", recorded_is_wvd)
+        monkeypatch.setattr(harness, "oracle_report", recorded_report)
+        assert harness._check_tree(star(12), True) == (True, True, [])
+        assert asked == [13, 2]
+        assert reported == [13]
 
 
 class TestQualifyingHypotheses:
