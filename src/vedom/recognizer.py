@@ -166,8 +166,12 @@ def unit_partition(t: Graph) -> UnitPartition | Refutation:
     """Degree classification of a reduced tree of order >= 6 into units.
 
     Returns the partition, or a refutation naming the first check that
-    fails (leaf checks by leaf index, then backbone checks by vertex index,
-    then backbone connectivity).
+    fails: leaf checks by leaf index, then backbone checks by vertex index.
+    No other check can fail.  Once every leaf's support has degree 2, the
+    support's other neighbour is neither a leaf nor a support (else the tree
+    is P_3 or P_4).  Once every backbone vertex also sees one support, the
+    units are pendant paths w-s-leaf that split the tree into equal thirds,
+    and removing pendant paths leaves the backbone a subtree.
     """
     require_tree(t, "unit partition")
     if not is_reduced(t):
@@ -176,50 +180,33 @@ def unit_partition(t: Graph) -> UnitPartition | Refutation:
         raise ValueError("unit partition requires order at least 6")
 
     adj = t.adj
-    deg = list(map(len, adj))
-    leaves = [v for v, d in enumerate(deg) if d == 1]
     label = [LABEL_BACKBONE] * t.n
-    for leaf in leaves:
-        support = adj[leaf][0]
-        if deg[support] != 2:
-            return Refutation("bad-leaf", (leaf, support))
-        label[leaf] = LABEL_LEAF
-        label[support] = LABEL_SUPPORT
-
     units: list[tuple[int, int, int]] = []
-    support_count = [0] * t.n  # per vertex, the units whose support it is adjacent to
-    for leaf in leaves:
+    support_count = [0] * t.n  # per vertex, the supports adjacent to it
+    for leaf in [v for v, a in enumerate(adj) if len(a) == 1]:
         s = adj[leaf][0]
+        if len(adj[s]) != 2:
+            return Refutation("bad-leaf", (leaf, s))
         w = _other(adj[s], leaf)
-        if label[w] != LABEL_BACKBONE:
-            return Refutation("bad-support-degree", (leaf, s, w))
+        label[leaf] = LABEL_LEAF
+        label[s] = LABEL_SUPPORT
         units.append((leaf, s, w))
         support_count[w] += 1
 
-    backbone = [v for v, lab in enumerate(label) if lab == LABEL_BACKBONE]
-    for w in backbone:
-        if support_count[w] != 1:
+    for w, lab in enumerate(label):
+        if lab == LABEL_BACKBONE and support_count[w] != 1:
             s_neighbors = [u for u in adj[w] if label[u] == LABEL_SUPPORT]
             return Refutation("w-multiplicity", (w, *s_neighbors))
-
-    # Cannot fire: a reduced tree has no two leaves on one support, so
-    # supports and leaves pair up; the checks above pair every support with
-    # its own backbone vertex and every backbone vertex with one support.
-    # Kept as an explicit raise so that it also holds under python -O.
-    if not len(leaves) == label.count(LABEL_SUPPORT) == len(backbone) == t.n // 3:
-        raise InvalidPartitionError("unit counts are not equal thirds of the order")
 
     backbone_edges = tuple(
         (u, v) for u, v in t.edges if label[u] == label[v] == LABEL_BACKBONE
     )
-    # the backbone induces a forest, which is connected iff it has k - 1 edges
-    if len(backbone_edges) != len(backbone) - 1:
-        return Refutation("backbone-disconnected", tuple(backbone))
     return UnitPartition(tuple(units), tuple(label), backbone_edges)
 
 
 def validate_unit_partition(t: Graph, p: UnitPartition) -> None:
-    """Raise InvalidPartitionError unless p is a correct partition of t."""
+    """Raise InvalidPartitionError unless p is a correct partition of t.  Units
+    that are pendant paths covering t leave a connected backbone."""
     if not is_tree(t):
         raise InvalidPartitionError("underlying graph is not a tree")
     if len(p.label) != t.n or len(p.units) * 3 != t.n:
@@ -239,8 +226,6 @@ def validate_unit_partition(t: Graph, p: UnitPartition) -> None:
     expected = tuple((u, v) for u, v in t.edges if u in backbone and v in backbone)
     if expected != p.backbone_edges:
         raise InvalidPartitionError("backbone edges do not match the W set")
-    if len(expected) != len(backbone) - 1:  # a forest, as a subgraph of a tree
-        raise InvalidPartitionError("backbone is not connected")
 
 
 def build_certificate(t: Graph, p: UnitPartition) -> int:

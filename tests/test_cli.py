@@ -335,6 +335,37 @@ class TestEnumerate:
             "   18  123867    161",
         ]
 
+    @pytest.mark.parametrize("lemmas", [False, True], ids=["plain", "lemmas"])
+    def test_a_failing_report_prints_each_line_and_exits_1(self, lemmas, monkeypatch, capsys):
+        """Each mismatch line, and with --lemmas each lemma failure, is
+        printed under its count."""
+        mismatches = [
+            "order 6 tree #0: recognizer=True oracle=False",
+            "order 6 tree #1: recognizer=False oracle=True",
+        ]
+        failures = [("wvd-implies-wvc", "n 2;0 1;"), ("unit-cut-additivity", "n 6;0 1;")]
+
+        def failing(max_n):
+            return ValidationReport(max_n, {6: 6}, mismatches, {6: 2}, failures if lemmas else [])
+
+        monkeypatch.setattr(cli, "cross_validate", failing)
+        monkeypatch.setattr(cli, "lemma_suite", failing)
+        assert main(["enumerate", "--max-n", "6", *["--lemmas"] * lemmas]) == 1
+        expected = [
+            "order  trees  well-ve-dominated",
+            "    6      6      2",
+            "mismatches: 2",
+            "  order 6 tree #0: recognizer=True oracle=False",
+            "  order 6 tree #1: recognizer=False oracle=True",
+        ]
+        if lemmas:
+            expected += [
+                "lemma failures: 2",
+                "  wvd-implies-wvc: n 2;0 1;",
+                "  unit-cut-additivity: n 6;0 1;",
+            ]
+        assert capsys.readouterr() == ("\n".join(expected) + "\n", "")
+
     def test_threads_is_not_an_enumerate_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--max-n", "6", "--threads", "2"])
@@ -369,6 +400,23 @@ class TestErrorPaths:
         f.write_text("n 3\n0 1\n0 1\n")
         assert main(["analyze", str(f)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("analyze", "n 3 4\n", "line 1: malformed directive 'n 3 4'"),
+            ("analyze", "n x\n", "line 1: malformed vertex count 'x'"),
+            ("analyze", "n -2\n", "line 1: negative vertex count"),
+            ("from-cnf", "p cnf 3\n", "line 1: malformed header 'p cnf 3'"),
+            ("from-cnf", "p cnf x 1\n", "line 1: malformed header 'p cnf x 1'"),
+        ],
+        ids=["directive", "non-integer-count", "negative-count", "short-header", "non-integer-header"],
+    )
+    def test_a_malformed_first_line_is_named(self, command, text, message, tmp_path, capsys):
+        f = tmp_path / "input"
+        f.write_text(text)
+        assert main([command, str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -210,6 +210,10 @@ class TestOracleReport:
         assert not r.is_well_ve_dominated
         assert r.minimal_size_multiset == {1: 2, 2: 1}
 
+    def test_negative_size_bound_is_refused(self):
+        with pytest.raises(ValueError, match="^size bound must be non-negative$"):
+            oracle_report(path_graph(3), size_bound=-1)
+
     def test_single_vertex(self):
         r = oracle_report(path_graph(1))
         assert (r.gamma_ve, r.big_gamma_ve) == (0, 0)

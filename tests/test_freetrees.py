@@ -153,6 +153,13 @@ class TestFreeTreeEnumeration:
             list(enumerate_free_trees(19))
 
 
+def test_centroids_refuse_a_graph_with_tree_size_that_is_no_tree():
+    """A triangle and an isolated vertex: n - 1 edges, one walk short."""
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(ValueError, match="^centroids are defined here for trees only$"):
+        centroids(g)
+
+
 class TestIsomorphism:
     def test_relabeled_tree_is_isomorphic(self):
         t = pruefer_to_tree(7, [0, 3, 3, 1, 5])

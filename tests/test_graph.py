@@ -159,6 +159,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            Graph.from_edges(-1, [])
+
     def test_canonical_edge_order(self):
         g = Graph.from_edges(4, [(3, 2), (1, 0), (2, 0)])
         assert g.edges == ((0, 1), (0, 2), (2, 3))

@@ -5,6 +5,7 @@ import pytest
 
 from vedom import harness
 from vedom.constructions import expand_backbone, path_graph
+from vedom.domination import is_well_ve_dominated
 from vedom.freetrees import FREE_TREE_COUNTS, enumerate_free_trees
 from vedom.harness import (
     ValidationReport,
@@ -127,6 +128,88 @@ class TestReductionTransport:
         assert harness._check_tree(star(12), True) == (True, True, [])
         assert asked == [13, 2]
         assert reported == [13]
+
+
+class TestFailureReports:
+    """Each check reports exactly the trees whose patched input breaks it,
+    with the tuple or line it documents, and nothing else."""
+
+    def test_a_witness_on_a_wvd_tree_is_reported(self, monkeypatch):
+        patched = []
+
+        def witness_everywhere(t):
+            patched.append(_graph_tag(t))
+            return "i", (0, 1, 2, 3)
+
+        monkeypatch.setattr(harness, "find_forbidden_configuration", witness_everywhere)
+        report = lemma_suite(8)
+        assert patched
+        assert report.lemma_failures == [("forbidden-config-soundness", tag) for tag in patched]
+
+    def test_a_wvd_tree_that_is_not_wvc_is_reported(self, monkeypatch):
+        """Every report says not well-ve-covered; only (e) reads that."""
+        oracle_report = harness.oracle_report
+
+        def not_covered(g):
+            return dataclasses.replace(oracle_report(g), is_well_ve_covered=False)
+
+        monkeypatch.setattr(harness, "oracle_report", not_covered)
+        report = lemma_suite(8)
+        wvd = [t for n in range(1, 9) for t in enumerate_free_trees(n) if is_well_ve_dominated(t)]
+        assert report.lemma_failures == [("wvd-implies-wvc", _graph_tag(t)) for t in wvd]
+
+    def test_a_cut_with_a_component_that_is_not_wvd_is_reported(self, monkeypatch):
+        """Order 9 is the first with a qualifying cut vertex; every cut of
+        a well-ve-dominated tree is given P_4, which is not one."""
+        expected = []
+
+        def p4_left(t, cut):
+            tag = _graph_tag(t)
+            if len(cut) == 2:
+                expected.append(("cut-edge-components", f"{tag} edge ({cut[0]},{cut[1]})"))
+            else:
+                expected.append(("cut-vertex-components", f"{tag} vertex {cut[0]}"))
+            return iter([path_graph(4)])
+
+        monkeypatch.setattr(harness, "_components_without", p4_left)
+        report = lemma_suite(9)
+        assert {lemma for lemma, _ in expected} == {"cut-edge-components", "cut-vertex-components"}
+        assert report.lemma_failures == expected
+
+    def test_a_unit_cut_that_is_not_additive_is_reported(self, monkeypatch):
+        """Each unit cut is given the whole tree twice, so its two sides
+        add up to twice gamma_ve."""
+        expected = []
+
+        def doubled(t, partition, edge):
+            gamma = harness.oracle_report(t).gamma_ve
+            expected.append(
+                ("unit-cut-additivity", f"{_graph_tag(t)} edge {edge}: {2 * gamma} != {gamma}")
+            )
+            return t, t
+
+        monkeypatch.setattr(harness, "unit_cut_decompose", doubled)
+        report = lemma_suite(9)
+        assert expected
+        assert report.lemma_failures == expected
+
+    def test_a_wrong_verdict_is_a_mismatch_line(self, monkeypatch):
+        recognize = harness.recognize
+
+        def flipped(t):
+            result = recognize(t)
+            return dataclasses.replace(result, verdict=not result.verdict)
+
+        monkeypatch.setattr(harness, "recognize", flipped)
+        report = lemma_suite(6)
+        expected = [
+            f"order {n} tree #{i}: recognizer={not wvd} oracle={wvd}"
+            for n in range(1, 7)
+            for i, wvd in enumerate(map(is_well_ve_dominated, enumerate_free_trees(n)))
+        ]
+        assert report.recognizer_oracle_mismatches == expected
+        assert report.lemma_failures == []
+        assert not report.ok
 
 
 class TestQualifyingHypotheses:

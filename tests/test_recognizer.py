@@ -284,6 +284,22 @@ class TestValidatePartition:
         with pytest.raises(InvalidPartitionError):
             validate_unit_partition(path_graph(6), bad)
 
+    @pytest.mark.parametrize(
+        "units, label, backbone_edges, message",
+        [
+            (((0, 1, 3), (5, 4, 3)), "LSWWSL", ((2, 3),), r"\(0, 1, 3\) is not a unit body"),
+            (((0, 1, 2), (5, 4, 3)), "LSSWSL", ((2, 3),), r"labels disagree with unit \(0, 1, 2\)"),
+            (((0, 1, 2), (0, 1, 2)), "LSWWSL", ((2, 3),), "units do not partition the vertex set"),
+            (((0, 1, 2), (5, 4, 3)), "LSWWSL", (), "backbone edges do not match the W set"),
+        ],
+        ids=["unit-body", "labels", "partition", "backbone-edges"],
+    )
+    def test_each_rejection_names_its_check(self, units, label, backbone_edges, message):
+        """Each partition of P_6 passes every check before the one it breaks."""
+        bad = UnitPartition(units=units, label=tuple(label), backbone_edges=backbone_edges)
+        with pytest.raises(InvalidPartitionError, match=f"^{message}$"):
+            validate_unit_partition(path_graph(6), bad)
+
 
 class TestRecognize:
     def test_path_six(self):
