@@ -74,12 +74,6 @@ class CnfInstance:
                     raise CnfFormatError(f"clause {clause} repeats a variable")
                 variables.add(abs(lit))
 
-    def evaluate(self, assignment: dict[int, bool]) -> bool:
-        return all(
-            any(assignment[abs(lit)] == (lit > 0) for lit in clause)
-            for clause in self.clauses
-        )
-
 
 def parse_dimacs_cnf(text: str) -> CnfInstance:
     """DIMACS CNF: 'c' comments, a 'p cnf <vars> <clauses>' header, then

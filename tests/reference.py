@@ -220,7 +220,7 @@ def sat_decide_by_truth_table(f: CnfInstance) -> bool:
     n = f.variable_count
     for bits in range(1 << n):
         assignment = {i + 1: bool((bits >> i) & 1) for i in range(n)}
-        if f.evaluate(assignment):
+        if all(any(assignment[abs(lit)] == (lit > 0) for lit in clause) for clause in f.clauses):
             return True
     return False
 

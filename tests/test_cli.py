@@ -305,9 +305,9 @@ class TestEnumerate:
     def test_rejects_oversized_sweep(self, capsys):
         """The library's limit check, the enumerator's, is the only one:
         one line on stderr."""
-        for max_n in ("0", "19", "99"):
+        for max_n in ("0", "21", "99"):
             assert main(["enumerate", "--max-n", max_n]) == 2
-            assert capsys.readouterr() == ("", "error: max_n must be in 1..18\n")
+            assert capsys.readouterr() == ("", "error: max_n must be in 1..20\n")
 
     def test_table_widens_only_for_six_digit_counts(self, monkeypatch, capsys):
         """Order 18's 123,867 trees widen the trees column, header too;

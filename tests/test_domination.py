@@ -392,9 +392,8 @@ ALL_SIGN_PATTERNS_CNF = CnfInstance(3, tuple(itertools.product((1, -1), (2, -2),
     ],
     ids=["figure", "all-sign-patterns", "figure-2n+1", "all-sign-patterns-2n+1"],
 )
-def test_size_bound_prunes_with_the_packing(f, extra, calls):
-    """At bounds 2n and 2n + 1 the gadget's packing is its 2n pendant sets
-    {x, y, u} and {u', w, z}, which fits the bound, so the search runs; a
+def test_size_bound_search_calls_on_gadgets(f, extra, calls):
+    """At bounds 2n and 2n + 1 the bound is the search's depth limit; a
     node's completing picks are visited in one batch without a call, so
     batching leaves these counts as they were.  The sets are those of full
     mode."""
@@ -439,14 +438,15 @@ def test_completing_picks_are_visited_in_batches(g, bound, visits, sets):
     assert _batches(g, bound, stop=True)[0] == 1
 
 
-def test_packing_larger_than_the_bound_makes_no_search():
-    """Below gamma_ve the figure gadget's 8 packing sets exceed the 7
-    picks of bound 2n - 1, so no set is searched for (1,093 calls without
-    this check) and the bounded report finds none."""
+def test_a_bound_below_gamma_searches_and_finds_none():
+    """Bound 2n - 1 is below the figure gadget's gamma_ve of 2n, since each
+    of its 2n pendant sets {x, y, u} and {u', w, z} needs a member of its
+    own; the search runs to its depth limit and the bounded report finds
+    no set."""
     g = sat_to_graph(FIGURE_CNF).graph
 
     def report():
         with pytest.raises(ValueError, match="no minimal ve-dominating set of size <= 7"):
             oracle_report(g, size_bound=7)
 
-    assert _search_calls(report) == 0
+    assert _search_calls(report) == 1093

@@ -147,10 +147,9 @@ class TestFreeTreeEnumeration:
         assert first == second
 
     def test_range_errors(self):
-        with pytest.raises(ValueError):
-            list(enumerate_free_trees(0))
-        with pytest.raises(ValueError):
-            list(enumerate_free_trees(19))
+        for n in (0, 21):
+            with pytest.raises(ValueError, match=r"^order must be in 1\.\.20$"):
+                list(enumerate_free_trees(n))
 
 
 def test_centroids_refuse_a_graph_with_tree_size_that_is_no_tree():

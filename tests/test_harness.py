@@ -42,12 +42,12 @@ class TestCrossValidate:
             assert 0 <= report.wvd_tree_census[n] <= report.trees_checked[n]
 
     def test_range_check(self, monkeypatch):
-        """The sweep reaches as far as the enumerator: every order 1-18 is
-        swept, and 19 is refused before any work."""
+        """The sweep reaches as far as the enumerator: every order 1-20 is
+        swept, and 21 is refused before any work."""
         monkeypatch.setattr(harness, "enumerate_free_trees", lambda n: iter(()))
-        assert cross_validate(18).trees_checked == dict.fromkeys(range(1, 19), 0)
-        with pytest.raises(ValueError, match=r"^max_n must be in 1\.\.18$"):
-            cross_validate(19)
+        assert cross_validate(20).trees_checked == dict.fromkeys(range(1, 21), 0)
+        with pytest.raises(ValueError, match=r"^max_n must be in 1\.\.20$"):
+            cross_validate(21)
 
 
 class TestLemmaSuite:

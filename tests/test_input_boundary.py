@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from vedom.cli import main
 from vedom.constructions import CnfFormatError, expand_backbone, parse_dimacs_cnf
+from vedom.freetrees import MAX_ENUMERATION_ORDER
 from vedom.graph import GraphFormatError, parse_edge_list, serialize_edge_list
 
 from tests.strategies import trees
@@ -94,7 +95,9 @@ _guard = st.one_of(st.just([]), st.integers(-2, 64).map(lambda k: ["--max-vertic
 def _argv(draw, path):
     command = draw(st.sampled_from([*_flags, "enumerate"]))
     if command == "enumerate":
-        max_n = draw(st.integers(-2, 7) | st.integers(16, 64))
+        # orders up to 7 run a sweep; above them only orders it refuses, as
+        # a sweep of order 16-20 takes from seconds to minutes
+        max_n = draw(st.integers(-2, 7) | st.integers(MAX_ENUMERATION_ORDER + 1, 64))
         flags = draw(st.lists(st.sampled_from(["--json", "--lemmas"]), unique=True))
         return ["enumerate", "--max-n", str(max_n), *flags]
     flags = draw(st.lists(st.sampled_from(_flags[command]), unique=True))

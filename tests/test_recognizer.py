@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,70 @@ class TestNoQuadraticWork:
         monkeypatch.setattr(vedom.recognizer, "traverse", counted)
         assert find_forbidden_configuration(t) is not None
         assert len(calls) <= 1
+
+    def test_line_events_grow_linearly(self):
+        """recognize makes at most about ten times the Python line events
+        (sys.settrace) on ten times the vertices: accepting a shuffled
+        expansion with twin leaves, refuting the same expansion with each
+        forbidden pattern planted, and on a random Pruefer tree.  A count is
+        deterministic where a clock is not.  Past 100 events per vertex the
+        count stops the call, so a quadratic step fails fast.  Blind spot:
+        work done in C (sorts, big-int masks, str methods) makes no line
+        events, so per-bit work on n-bit masks goes unseen; the README's
+        wall-clock figures are the second witness."""
+        counts = {}
+        for k in (333, 3333):  # about 10^3 and 10^4 vertices
+            rng = random.Random(k)
+            t, partition = expand_backbone(_random_pruefer_tree(rng, k))
+            units = partition.units
+            cases = {"T2": [(units[rng.randrange(k)][1], t.n + i) for i in range(k // 6 + 1)]}
+            w = units[rng.randrange(k)][2]
+            for pattern, tail in (("i", 1), ("ii", 2), ("iii", 4)):
+                path = [w, *range(t.n, t.n + tail)]
+                cases[f"forbidden-path({pattern})"] = list(zip(path, path[1:]))
+            trees = {
+                outcome: _shuffled(rng, t.n + len(extra), [*t.edges, *extra])
+                for outcome, extra in cases.items()
+            }
+            trees["pruefer"] = _random_pruefer_tree(rng, 3 * k + 1)
+            for outcome, g in trees.items():
+                result, events = _line_events(lambda: recognize(g), cap=100 * g.n)
+                if outcome != "pruefer":
+                    assert (result.refutation.reason if result.refutation else result.case) == outcome
+                counts.setdefault(outcome, []).append(events)
+        for outcome, (small, large) in counts.items():
+            assert large <= 10.5 * small, (outcome, small, large)
+
+
+def _line_events(call, cap: int):
+    """call()'s result and the Python line events it made; the test fails
+    as soon as they pass cap."""
+    events = 0
+
+    def line(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+            if events > cap:
+                pytest.fail(f"more than {cap} line events")
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line)
+    try:
+        return call(), events
+    finally:
+        sys.settrace(previous)
+
+
+def _shuffled(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> Graph:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _random_pruefer_tree(rng: random.Random, n: int) -> Graph:
+    return pruefer_to_tree(n, [rng.randrange(n) for _ in range(n - 2)])
 
 
 def _branch(r) -> str:
