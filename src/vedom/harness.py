@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .constructions import unit_cut_decompose
 from .domination import is_well_ve_dominated, oracle_report
 from .freetrees import MAX_ENUMERATION_ORDER, enumerate_free_trees
 from .graph import Graph, _induced, _reach, serialize_edge_list
-from .recognizer import find_forbidden_configuration, recognize
+from .recognizer import RecognitionResult, find_forbidden_configuration, recognize
 
 
 @dataclass
@@ -46,15 +46,15 @@ class ValidationReport:
         }
 
 
-def _check_tree(t: Graph, lemmas: bool) -> tuple[bool, bool, list[tuple[str, str]]]:
-    """Recognizer verdict, oracle verdict and, when lemmas is set, the lemma
+def _check_tree(t: Graph, lemmas: bool) -> tuple[RecognitionResult, bool, list[tuple[str, str]]]:
+    """Recognizer result, oracle verdict and, when lemmas is set, the lemma
     failures of one tree.  The oracle gives only its verdict; a full report
     is computed only for the lemmas that read i_ve, beta_ve or gamma_ve."""
     result = recognize(t)
     is_wvd = is_well_ve_dominated(t)
     failures: list[tuple[str, str]] = []
     if not lemmas:
-        return result.verdict, is_wvd, failures
+        return result, is_wvd, failures
     fail = failures.append
     t2 = result.reduced_tree  # t itself when t has no twins
     if t2 is not t and is_well_ve_dominated(t2) != is_wvd:
@@ -72,37 +72,38 @@ def _check_tree(t: Graph, lemmas: bool) -> tuple[bool, bool, list[tuple[str, str
                 fail(("cut-vertex-components", f"{_graph_tag(t)} vertex {c}"))
     if result.case == "T2":
         _check_unit_cut_additivity(result, fail)
-    return result.verdict, is_wvd, failures
+    return result, is_wvd, failures
 
 
-def _check_args(max_n: int) -> None:
+def _records(max_n: int, lemmas: bool) -> Iterator[tuple]:
+    """(order, index, tree, recognizer result, oracle verdict, lemma
+    failures) for every free tree up to max_n, in enumeration order."""
+    for n in range(1, max_n + 1):
+        for index, t in enumerate(enumerate_free_trees(n)):
+            yield (n, index, t, *_check_tree(t, lemmas))
+
+
+def _tally(max_n: int, records: Iterable[tuple]) -> ValidationReport:
+    """Fold records into a report; max_n is checked before the first is drawn."""
     if not 1 <= max_n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"max_n must be in 1..{MAX_ENUMERATION_ORDER}")
-
-
-def _sweep(report: ValidationReport, lemmas: bool) -> ValidationReport:
-    """Check every free tree up to report.max_order once, and tally
-    verdicts, mismatches and lemma failures."""
+    report = ValidationReport(max_n, dict.fromkeys(range(1, max_n + 1), 0))
+    report.wvd_tree_census = dict(report.trees_checked)
     started = time.perf_counter()
-    for n in range(1, report.max_order + 1):
-        report.trees_checked[n] = report.wvd_tree_census[n] = 0
-        for index, t in enumerate(enumerate_free_trees(n)):
-            recognized, oracle_says, failures = _check_tree(t, lemmas)
-            report.trees_checked[n] += 1
-            report.wvd_tree_census[n] += oracle_says
-            if recognized != oracle_says:
-                report.recognizer_oracle_mismatches.append(
-                    f"order {n} tree #{index}: recognizer={recognized} oracle={oracle_says}"
-                )
-            report.lemma_failures.extend(failures)
+    for n, index, _, result, is_wvd, failures in records:
+        report.trees_checked[n] += 1
+        report.wvd_tree_census[n] += is_wvd
+        if result.verdict != is_wvd:
+            mismatch = f"order {n} tree #{index}: recognizer={result.verdict} oracle={is_wvd}"
+            report.recognizer_oracle_mismatches.append(mismatch)
+        report.lemma_failures.extend(failures)
     report.elapsed = time.perf_counter() - started
     return report
 
 
 def cross_validate(max_n: int) -> ValidationReport:
     """Recognizer verdict vs oracle verdict on every tree up to max_n."""
-    _check_args(max_n)
-    return _sweep(ValidationReport(max_order=max_n), lemmas=False)
+    return _tally(max_n, _records(max_n, lemmas=False))
 
 
 def _graph_tag(g: Graph) -> str:
@@ -141,11 +142,10 @@ def lemma_suite(max_n: int) -> ValidationReport:
     (e) well-ve-dominated implies i_ve = beta_ve;
     (f) gamma_ve is additive across every unit-cut edge of recognized trees.
 
-    All run on the cross_validate sweep, whose counts, census and mismatches
-    the report carries too.
+    All run on the record stream that cross_validate folds too, so the
+    report carries its counts, census and mismatches as well.
     """
-    _check_args(max_n)
-    return _sweep(ValidationReport(max_order=max_n), lemmas=True)
+    return _tally(max_n, _records(max_n, lemmas=True))
 
 
 def _components_without(t: Graph, cut: tuple[int, ...]) -> Iterator[Graph]:

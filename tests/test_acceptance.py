@@ -1,11 +1,12 @@
 """Acceptance suite: one test per top-level requirement.
 
 Each test prints a single "ACCEPTANCE <n> (<name>): PASS/FAIL" line (run
-pytest with -s to see them live).  The shared sweep fixture enumerates every
-non-isomorphic tree up to 15 vertices once and records the recognizer result
-next to the exact oracle report; the last tests reuse it to compare the
-oracle's reports and the recognizer's searches with the references in
-tests/reference.py.
+pytest with -s to see them live).  The shared sweep fixture takes the
+harness's per-tree records, lemmas on, for every non-isomorphic tree up to
+15 vertices, and adds each tree's exact oracle report; criterion 7 folds
+those records as `lemma_suite` does, and the last tests reuse them to check
+the oracle against published bounds and to compare the oracle's reports
+and the recognizer's searches with the references in tests/reference.py.
 """
 
 import itertools
@@ -13,13 +14,13 @@ import time
 
 import pytest
 
+from vedom import harness
 from vedom.constructions import (
     CnfInstance,
     expand_backbone,
     path_graph,
     sat_decide_via_graph,
     sat_to_graph,
-    unit_cut_decompose,
     unit_cut_extend,
 )
 from vedom.domination import (
@@ -29,8 +30,7 @@ from vedom.domination import (
 )
 from vedom.freetrees import FREE_TREE_COUNTS, enumerate_free_trees
 from vedom.graph import bit_list, mask_from
-from vedom.harness import lemma_suite
-from vedom.recognizer import find_forbidden_configuration, recognize, verify_certificate
+from vedom.recognizer import build_certificate, find_forbidden_configuration, verify_certificate
 
 from tests import reference
 from tests.reference import sat_decide_by_truth_table
@@ -56,12 +56,11 @@ def _finish(num: int, name: str, failures: list, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def tree_sweep():
-    """(order, tree, recognition, oracle report) for every tree <= 15."""
+    """The harness's records (order, index, tree, recognition, oracle
+    verdict, lemma failures), lemmas on, for every tree <= 15, each with
+    the tree's full oracle report appended."""
     started = time.perf_counter()
-    records = []
-    for n in range(1, SWEEP_MAX + 1):
-        for t in enumerate_free_trees(n):
-            records.append((n, t, recognize(t), oracle_report(t)))
+    records = [(*r, oracle_report(r[2])) for r in harness._records(SWEEP_MAX, lemmas=True)]
     return records, time.perf_counter() - started
 
 
@@ -90,7 +89,7 @@ def test_criterion_2_recognizer_equals_oracle(tree_sweep):
     records, elapsed = tree_sweep
     failures = [
         f"order {n}: recognizer={res.verdict} oracle={rep.is_well_ve_dominated}"
-        for n, _, res, rep in records
+        for n, _, _, res, *_, rep in records
         if res.verdict != rep.is_well_ve_dominated
     ]
     if len(records) != sum(FREE_TREE_COUNTS[:SWEEP_MAX]):
@@ -109,7 +108,7 @@ def test_criterion_3_certificate_validity(tree_sweep):
     records, _ = tree_sweep
     failures = []
     checked = 0
-    for n, _, res, _ in records:
+    for n, _, _, res, *_ in records:
         if res.case != "T2":
             continue
         checked += 1
@@ -147,22 +146,10 @@ def test_criterion_4_backbone_expansion():
     _finish(4, "backbone expansion", failures, f"{checked} backbones, {elapsed:.1f}s")
 
 
-def test_criterion_5_additivity(tree_sweep):
-    records, _ = tree_sweep
+def test_criterion_5_additivity():
+    """Joins only: the lemma suite's check (f) splits every unit-cut edge of
+    the sweep's T2 trees, and criterion 7 asserts it never failed."""
     failures = []
-    split_checks = 0
-    for n, _, res, _ in records:
-        if res.case != "T2":
-            continue
-        t2 = res.reduced_tree
-        total = oracle_report(t2).gamma_ve
-        for edge in res.partition.backbone_edges:
-            split_checks += 1
-            left, right = unit_cut_decompose(t2, res.partition, edge=edge)
-            got = oracle_report(left).gamma_ve + oracle_report(right).gamma_ve
-            if got != total:
-                failures.append(f"order {n} edge {edge}: {got} != {total}")
-
     expansions = [
         expand_backbone(r) for k in range(2, 5) for r in enumerate_free_trees(k)
     ]
@@ -178,12 +165,7 @@ def test_criterion_5_additivity(tree_sweep):
             failures.append(
                 f"join {t1.n}+{t2.n}: gamma {rep.gamma_ve}, wvd {rep.is_well_ve_dominated}"
             )
-    _finish(
-        5,
-        "unit-cut additivity",
-        failures,
-        f"{split_checks} splits, {join_checks} joins",
-    )
+    _finish(5, "unit-cut additivity", failures, f"{join_checks} joins")
 
 
 def test_criterion_6_sat_reduction():
@@ -223,10 +205,12 @@ def test_criterion_6_sat_reduction():
     _finish(6, "sat reduction", failures, f"{elapsed:.1f}s")
 
 
-def test_criterion_7_lemma_suite():
-    """The whole report: no lemma failure, the recognizer equal to
+def test_criterion_7_lemma_suite(tree_sweep):
+    """The whole report, folded from the sweep's records as lemma_suite
+    folds its own: no lemma failure, the recognizer equal to
     is_well_ve_dominated on every tree of the full census."""
-    report = lemma_suite(SWEEP_MAX)
+    records, elapsed = tree_sweep
+    report = harness._tally(SWEEP_MAX, (r[:-1] for r in records))
     failures = list(report.lemma_failures) + report.recognizer_oracle_mismatches
     if report.trees_checked != {n: FREE_TREE_COUNTS[n - 1] for n in range(1, SWEEP_MAX + 1)}:
         failures.append(f"trees checked {report.trees_checked}, expected the full census")
@@ -236,7 +220,7 @@ def test_criterion_7_lemma_suite():
         7,
         "lemma suite",
         failures,
-        f"{sum(report.trees_checked.values())} trees, {report.elapsed:.1f}s",
+        f"{sum(report.trees_checked.values())} trees, {elapsed:.1f}s sweep",
     )
 
 
@@ -244,15 +228,39 @@ def test_criterion_8_chain_sanity(tree_sweep):
     records, _ = tree_sweep
     failures = []
     checked = 0
-    for n, _, _, rep in records:
-        if n > 12:
-            continue
+    for n, *_, rep in records:
         checked += 1
         if not (rep.gamma_ve <= rep.i_ve <= rep.beta_ve <= rep.big_gamma_ve):
             failures.append(
                 f"order {n}: {rep.gamma_ve},{rep.i_ve},{rep.beta_ve},{rep.big_gamma_ve}"
             )
     _finish(8, "domination chain", failures, f"{checked} trees")
+
+
+def test_published_tree_bounds_on_sweep(tree_sweep):
+    """Krishnakumari, Venkatakrishnan & Krzywkowski, C. R. Math. Acad. Sci.
+    Paris 352 (2014): a tree of order n >= 3 with l leaves and s support
+    vertices has (n - l - s + 3)/4 <= gamma_ve <= n/3.  The trees attaining
+    n/3 are P_3 and the recognizer's T2 trees with no twins, the backbone
+    expansions.  Neither the paper nor tests/reference.py supplies these
+    facts, so they check the oracle against a third source."""
+    records, _ = tree_sweep
+    failures = []
+    attained = 0
+    for n, _, t, res, *_, rep in records:
+        if n < 3:
+            continue
+        gamma = rep.gamma_ve
+        leaves = [v for v in range(n) if t.degree(v) == 1]
+        supports = {t.adj[v][0] for v in leaves}
+        if not (n - len(leaves) - len(supports) + 3 <= 4 * gamma and 3 * gamma <= n):
+            failures.append(f"order {n} {t.edges}: gamma_ve {gamma} out of bounds")
+        at_bound = 3 * gamma == n
+        attained += at_bound
+        if at_bound != (n == 3 or (res.case == "T2" and res.reduced_tree is t)):
+            failures.append(f"order {n} {t.edges}: gamma_ve {gamma}, case {res.case}")
+    assert not failures, failures[:5]
+    assert attained == 8  # P_3 and the expansions of the 7 backbones of order 2-5
 
 
 def test_sweep_reports_match_reference(tree_sweep):
@@ -262,7 +270,7 @@ def test_sweep_reports_match_reference(tree_sweep):
     records, _ = tree_sweep
     failures = [
         f"order {n} {t.edges}"
-        for n, t, _, rep in records
+        for n, _, t, *_, rep in records
         if n <= 11 and rep != reference.oracle_report(t)
     ]
     assert not failures, failures[:5]
@@ -270,17 +278,24 @@ def test_sweep_reports_match_reference(tree_sweep):
 
 def test_recognizer_searches_match_reference_on_sweep(tree_sweep):
     """Forbidden-path witnesses on every tree up to order 15 and on its
-    reduced tree, and certificate checks on every T2 certificate, equal the
-    earlier implementations."""
+    reduced tree, and certificate builds and checks on every T2 tree, equal
+    the earlier implementations.  build_certificate colours by depth parity
+    in a walk of the whole tree, the reference by a walk of the backbone
+    subtree alone."""
     records, _ = tree_sweep
     failures = []
-    for n, t, res, _ in records:
+    certified = 0
+    for n, _, t, res, *_ in records:
         for g in (t, res.reduced_tree):
             got = find_forbidden_configuration(g)
             if got != reference.find_forbidden_configuration(g):
                 failures.append(f"order {n} {g.edges}: witness {got}")
         if res.case == "T2":
-            t2, cert = res.reduced_tree, res.certificate
+            certified += 1
+            t2, p, cert = res.reduced_tree, res.partition, res.certificate
+            if build_certificate(t2, p) != reference.build_certificate(t2, p):
+                failures.append(f"order {n} {t2.edges}: certificate build")
             if verify_certificate(t2, cert) != reference.verify_certificate(t2, cert):
                 failures.append(f"order {n} {t2.edges}: certificate check")
     assert not failures, failures[:5]
+    assert certified == 116  # of the 131 accepted trees; the other 15 are T1

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vedom
@@ -627,6 +627,7 @@ _json_values = st.recursive(
 )
 
 
+@settings(derandomize=True)
 @given(_json_values)
 def test_json_writer_matches_json_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)

@@ -125,7 +125,8 @@ class TestReductionTransport:
 
         monkeypatch.setattr(harness, "is_well_ve_dominated", recorded_is_wvd)
         monkeypatch.setattr(harness, "oracle_report", recorded_report)
-        assert harness._check_tree(star(12), True) == (True, True, [])
+        result, is_wvd, failures = harness._check_tree(star(12), True)
+        assert (result.verdict, is_wvd, failures) == (True, True, [])
         assert asked == [13, 2]
         assert reported == [13]
 
