@@ -522,6 +522,20 @@ def test_cut_components_match_reference_on_every_tree_up_to_order_10():
     assert verdicts == {True, False}
 
 
+def test_certificate_matches_reference_on_every_t2_tree_up_to_order_15():
+    """build_certificate colours by depth parity in a walk of the whole
+    tree, the reference by a walk of the backbone subtree alone."""
+    checked = 0
+    for n in range(1, 16):
+        for t in enumerate_free_trees(n):
+            result = recognize(t)
+            if result.case == "T2":
+                t2, p = result.reduced_tree, result.partition
+                assert build_certificate(t2, p) == reference.build_certificate(t2, p)
+                checked += 1
+    assert checked == 116  # of the 131 accepted trees; the other 15 are T1
+
+
 def test_certificate_matches_reference_on_seeded_expansions():
     """Shuffled backbone expansions of 6 to 9,999 vertices, so the minimum
     backbone vertex, where both colourings start, falls anywhere."""
