@@ -218,8 +218,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     t = _read_tree(args.tree, RECOGNITION)
     result = recognize(t)
     if result.case != "T2":
-        print(f"error: tree does not decompose (case {result.case})", file=sys.stderr)
-        return 2
+        raise ValueError(f"tree does not decompose (case {result.case})")
     partition = result.partition
     bodies = unit_cut_decompose(result.reduced_tree, partition)
     if args.json:

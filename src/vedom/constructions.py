@@ -77,9 +77,11 @@ class CnfInstance:
 
 def parse_dimacs_cnf(text: str) -> CnfInstance:
     """DIMACS CNF: 'c' comments, a 'p cnf <vars> <clauses>' header, then
-    0-terminated clauses (clauses may span lines)."""
+    0-terminated clauses (clauses may span lines).  CnfInstance checks the
+    clauses themselves: their arity, literal range and repeated variables."""
     header: tuple[int, int] | None = None
-    tokens: list[int] = []
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
@@ -98,28 +100,21 @@ def parse_dimacs_cnf(text: str) -> CnfInstance:
         if header is None:
             raise CnfFormatError(f"line {lineno}: clause before header")
         try:
-            tokens.extend(int(tok) for tok in stripped.split())
+            literals = [int(tok) for tok in stripped.split()]
         except ValueError:
             raise CnfFormatError(f"line {lineno}: non-integer token") from None
+        for lit in literals:
+            if lit:
+                current.append(lit)
+            elif current:
+                clauses.append(tuple(current))
+                current = []
     if header is None:
         raise CnfFormatError("missing 'p cnf' header")
-    clauses: list[tuple[int, int, int]] = []
-    current: list[int] = []
-    for tok in tokens:
-        if tok == 0:
-            if current:
-                if len(current) != 3:
-                    raise CnfFormatError(f"clause {current} does not have exactly 3 literals")
-                clauses.append((current[0], current[1], current[2]))
-                current = []
-        else:
-            current.append(tok)
     if current:
         raise CnfFormatError("last clause is not 0-terminated")
     if len(clauses) != header[1]:
-        raise CnfFormatError(
-            f"header declares {header[1]} clauses but {len(clauses)} were read"
-        )
+        raise CnfFormatError(f"header declares {header[1]} clauses but {len(clauses)} were read")
     return CnfInstance(variable_count=header[0], clauses=tuple(clauses))
 
 

@@ -61,8 +61,7 @@ def ve_dominated_edges(g: Graph, v: int) -> int:
 
 def _coverage(g: Graph, s: int) -> tuple[list[int], int, int]:
     """Dominated-edge masks, and the edges ve-dominated by at least one and
-    by at least two members of s, tallied in one pass over the members."""
-    check_vertex_set(g, s)
+    by at least two members of s (a checked mask), in one pass over them."""
     masks = dominated_edge_masks(g)
     once = twice = 0
     for v in bit_list(s):
@@ -76,22 +75,25 @@ def is_ve_dominating(g: Graph, s: int) -> bool:
 
     Vacuously true on edgeless graphs, so the empty set dominates P_1.
     """
+    check_vertex_set(g, s)
     _, once, _ = _coverage(g, s)
     return once == (1 << len(g.edges)) - 1
 
 
 def private_edges(g: Graph, s: int, v: int) -> int:
     """Edges ve-dominated by v and by no other member of s.  Requires v in s."""
-    masks, _, twice = _coverage(g, s)
+    check_vertex_set(g, s)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     if not (s >> v) & 1:
         raise ValueError(f"vertex {v} is not a member of the set")
+    masks, _, twice = _coverage(g, s)
     return masks[v] & ~twice
 
 
 def is_minimal_ve_dominating(g: Graph, s: int) -> bool:
     """Minimality via private edges: s dominates and every member has one."""
+    check_vertex_set(g, s)
     masks, once, twice = _coverage(g, s)
     if once != (1 << len(g.edges)) - 1:
         return False

@@ -11,8 +11,8 @@ otherwise the structural check that broke).
 
 Recognition runs in linear time.  The certificate is checked edge by edge
 from per-vertex member counts, never from per-vertex edge masks, and the
-forbidden paths are built outward from each leaf with per-vertex tables, so
-no step looks at every pair of vertices or of leaves.
+forbidden paths are built outward from each leaf, so no step looks at every
+pair of vertices or of leaves.
 """
 
 from __future__ import annotations
@@ -93,8 +93,11 @@ def find_forbidden_configuration(t: Graph) -> tuple[str, tuple[int, ...]] | None
     Configurations are searched in that order; ties within one break by
     vertex order.  Paths in a tree are always induced, and every pattern
     starts at a leaf p0 whose support p1 has degree 2, so p1 and p2 are
-    fixed by p0.  Per-vertex tables give each later vertex of the smallest
-    path in constant time, so the search is linear.
+    fixed by p0.  Per-vertex tables give the later vertices of patterns i
+    and iii in constant time; pattern ii's p3 is the first x != p1 of the
+    sorted adj[p2] with a leaf neighbour.  A scan that finds none shows that
+    p1 is p2's only such neighbour, so no other p0 reaches that p2: each p2
+    is scanned in vain at most once, and the search is linear.
     """
     require_tree(t, "forbidden-configuration search")
     n, adj = t.n, t.adj
@@ -104,22 +107,13 @@ def find_forbidden_configuration(t: Graph) -> tuple[str, tuple[int, ...]] | None
     for v in range(n):
         if deg[v] == 1 and leaf[adj[v][0]] < 0:
             leaf[adj[v][0]] = v
-    # pendant[v]: smallest neighbour of v that is a degree-2 support of a
-    # leaf (p5 of iii); leafy/leafy2[v]: the two smallest neighbours of v
-    # with a leaf neighbour (p3 of ii: p1 qualifies too and is skipped)
+    # pendant[v]: smallest neighbour of v that is a degree-2 support of a leaf (p5 of iii)
     pendant = [-1] * n
-    leafy = [-1] * n
-    leafy2 = [-1] * n
     for u in range(n):
-        if leaf[u] < 0:
-            continue
-        for v in adj[u]:
-            if leafy[v] < 0:
-                leafy[v] = u
-            elif leafy2[v] < 0:
-                leafy2[v] = u
-            if deg[u] == 2 and pendant[v] < 0:
-                pendant[v] = u
+        if deg[u] == 2 and leaf[u] >= 0:
+            for v in adj[u]:
+                if pendant[v] < 0:
+                    pendant[v] = u
     # stem[x]: smallest degree-2 neighbour u of x whose other neighbour y has
     # a degree-2 support neighbour other than u (p3 of iii, seen from p2)
     stem = [-1] * n
@@ -142,9 +136,10 @@ def find_forbidden_configuration(t: Graph) -> tuple[str, tuple[int, ...]] | None
         if leaf[p2] >= 0:
             return "i", (p0, p1, p2, leaf[p2])
         if best_ii is None:
-            p3 = leafy[p2] if leafy[p2] != p1 else leafy2[p2]
-            if p3 >= 0:
-                best_ii = (p0, p1, p2, p3, leaf[p3])
+            for p3 in adj[p2]:  # sorted, so the first hit is the smallest
+                if p3 != p1 and leaf[p3] >= 0:
+                    best_ii = (p0, p1, p2, p3, leaf[p3])
+                    break
         if best_iii is None and stem[p2] >= 0:
             p3 = stem[p2]
             p4 = _other(adj[p3], p2)
@@ -222,8 +217,7 @@ def validate_unit_partition(t: Graph, p: UnitPartition) -> None:
         seen.update((leaf, s, w))
     if len(seen) != t.n:
         raise InvalidPartitionError("units do not partition the vertex set")
-    backbone = {u[2] for u in p.units}
-    expected = tuple((u, v) for u, v in t.edges if u in backbone and v in backbone)
+    expected = tuple((u, v) for u, v in t.edges if p.label[u] == p.label[v] == LABEL_BACKBONE)
     if expected != p.backbone_edges:
         raise InvalidPartitionError("backbone edges do not match the W set")
 

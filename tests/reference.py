@@ -17,7 +17,8 @@ non-representative and rebuilt the rest through ``Graph.from_edges``, the
 unit-cut split that walked each side into a mask and deleted the rest, the
 walk filtered through a set of allowed vertices, the lemma suite's
 components of a cut tree found as masks and deleted out, the two-pass
-edge-list parser, the reducedness test that grouped every
+edge-list parser, the two-pass DIMACS reader that checked each clause's
+arity itself, the reducedness test that grouped every
 neighbourhood class, the unit partition built on vertex sets with a
 traversal for backbone connectivity, the recognizer that built its result
 in three places from the library's own stages, and the lemma suite's
@@ -36,7 +37,7 @@ from collections import Counter
 from itertools import groupby
 from typing import Iterator
 
-from vedom.constructions import CnfInstance
+from vedom.constructions import CnfFormatError, CnfInstance
 from vedom.domination import DominationReport, InstanceTooLargeError, is_ve_dominating
 from vedom.graph import (
     Graph,
@@ -638,6 +639,55 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
         seen.add(e)
         edges.append(e)
     return n, edges
+
+
+def parse_dimacs_cnf(text: str) -> CnfInstance:
+    """The library's earlier two-pass DIMACS reader: the first pass checks
+    the lines and collects every literal, the second splits them into
+    clauses and checks each clause's arity before the instance is built."""
+    header: tuple[int, int] | None = None
+    tokens: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("p"):
+            if header is not None:
+                raise CnfFormatError(f"line {lineno}: duplicate header")
+            parts = stripped.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise CnfFormatError(f"line {lineno}: malformed header {stripped!r}")
+            try:
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError:
+                raise CnfFormatError(f"line {lineno}: malformed header {stripped!r}") from None
+            continue
+        if header is None:
+            raise CnfFormatError(f"line {lineno}: clause before header")
+        try:
+            tokens.extend(int(tok) for tok in stripped.split())
+        except ValueError:
+            raise CnfFormatError(f"line {lineno}: non-integer token") from None
+    if header is None:
+        raise CnfFormatError("missing 'p cnf' header")
+    clauses: list[tuple[int, int, int]] = []
+    current: list[int] = []
+    for tok in tokens:
+        if tok == 0:
+            if current:
+                if len(current) != 3:
+                    raise CnfFormatError(f"clause {current} does not have exactly 3 literals")
+                clauses.append((current[0], current[1], current[2]))
+                current = []
+        else:
+            current.append(tok)
+    if current:
+        raise CnfFormatError("last clause is not 0-terminated")
+    if len(clauses) != header[1]:
+        raise CnfFormatError(
+            f"header declares {header[1]} clauses but {len(clauses)} were read"
+        )
+    return CnfInstance(variable_count=header[0], clauses=tuple(clauses))
 
 
 def is_reduced(g: Graph) -> bool:

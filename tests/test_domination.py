@@ -92,6 +92,32 @@ class TestPrivateEdges:
         with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
             private_edges(path_graph(4), mask_from([1]), v)
 
+    @pytest.mark.parametrize(
+        "s, v, message",
+        [
+            (mask_from([1]), -1, "vertex -1 out of range"),
+            (mask_from([1]), 4, "vertex 4 out of range"),
+            (mask_from([1]), 2, "vertex 2 is not a member of the set"),
+            (1 << 4, 9, "vertex set is not a mask over the 4 vertices"),
+        ],
+        ids=["below-range", "above-range", "non-member", "set-first"],
+    )
+    def test_arguments_are_checked_before_any_work(self, monkeypatch, s, v, message):
+        """The set first, then the vertex, and only then the masks."""
+        calls = []
+        original = domination.dominated_edge_masks
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(domination, "dominated_edge_masks", counted)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            private_edges(path_graph(4), s, v)
+        assert calls == []
+        private_edges(path_graph(4), mask_from([1]), 1)
+        assert len(calls) == 1
+
 
 @pytest.mark.parametrize(
     "check",

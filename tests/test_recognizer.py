@@ -4,10 +4,11 @@ import sys
 import pytest
 from hypothesis import given, settings
 
+import vedom.cli
 import vedom.domination
 import vedom.graph
 import vedom.recognizer
-from vedom.constructions import expand_backbone, path_graph
+from vedom.constructions import expand_backbone, parse_dimacs_cnf, path_graph
 from vedom.domination import is_minimal_ve_dominating, oracle_report
 from vedom.freetrees import enumerate_free_trees, trees_isomorphic
 from vedom.graph import (
@@ -242,6 +243,39 @@ class TestNoQuadraticWork:
                 counts.setdefault(outcome, []).append(events)
         for outcome, (small, large) in counts.items():
             assert large <= 10.5 * small, (outcome, small, large)
+
+    def test_readers_and_writers_make_line_events_linearly(self):
+        """The same check on the other paths the README calls linear, at
+        about 10^3 and 10^4 units: the DIMACS reader per clause, the
+        edge-list reader per vertex of a tree file with its lines and
+        endpoints shuffled, backbone expansion per backbone vertex, and the
+        JSON writer per vertex of an accepting recognize payload."""
+        counts = {}
+        for k in (1000, 10000):
+            rng = random.Random(k)
+            clauses = [
+                " ".join(str(rng.choice([x, -x])) for x in rng.sample(range(1, 9), 3)) + " 0"
+                for _ in range(k)
+            ]
+            cnf = f"c {k} clauses\np cnf 8 {k}\n" + "\n".join(clauses) + "\n"
+            r = _random_pruefer_tree(rng, k)
+            lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in r.edges]
+            rng.shuffle(lines)
+            edge_text = f"n {k}\n" + "\n".join(lines) + "\n"
+            accepted = expand_backbone(_random_pruefer_tree(rng, k // 3))[0]
+            payload = vedom.cli._recognition_dict(recognize(accepted))
+            assert payload["verdict"] == "yes"
+            calls = {
+                "parse_dimacs_cnf": (lambda: parse_dimacs_cnf(cnf), k),
+                "parse_edge_list": (lambda: parse_edge_list(edge_text), k),
+                "expand_backbone": (lambda: expand_backbone(r), k),
+                "_json_text": (lambda: vedom.cli._json_text(payload), accepted.n),
+            }
+            for name, (call, units) in calls.items():
+                _, events = _line_events(call, cap=100 * units)
+                counts.setdefault(name, []).append(events)
+        for name, (small, large) in counts.items():
+            assert large <= 10.5 * small, (name, small, large)
 
 
 def _line_events(call, cap: int):
