@@ -104,17 +104,13 @@ def _texts(values: list, inner: str):
     return [_json_text(v, inner) for v in values]
 
 
-def _emit_json(payload: dict) -> None:
-    print(_json_text(payload))
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     n, edges = _read_edges(args.graph)
     _check_guard(n, None, args.max_vertices)  # before the graph is built
     g = Graph._build(n, edges)
     report = oracle_report(g, guard=args.max_vertices)
     if args.json:
-        _emit_json(report.to_json_dict())
+        print(_json_text(report.to_json_dict()))
         return 0
     print(f"vertices: {g.n}  edges: {len(g.edges)}")
     print(f"gamma_ve: {report.gamma_ve}")
@@ -144,7 +140,7 @@ def _recognition_dict(result: RecognitionResult) -> dict:
     if result.refutation is not None:
         payload["refutation"] = {
             "reason": result.refutation.reason,
-            "witness": list(result.refutation.witness),
+            "witness": result.refutation.witness,
         }
     return payload
 
@@ -161,7 +157,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         payload = _recognition_dict(result)
         if args.verify:
             payload["oracle_agrees"] = agree
-        _emit_json(payload)
+        print(_json_text(payload))
     else:
         print(f"verdict: {'yes' if result.verdict else 'no'} (case {result.case})")
         if result.partition is not None:
@@ -183,18 +179,14 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     rmap = reduce_graph(Graph._build(*_read_edges(args.graph)))
+    text = serialize_edge_list(rmap.reduced_graph)
     representative = {
         str(v): rmap.representatives[r] for v, r in enumerate(rmap.to_reduced)
     }
     if args.json:
-        _emit_json(
-            {
-                "edge_list": serialize_edge_list(rmap.reduced_graph),
-                "representative_map": representative,
-            }
-        )
+        print(_json_text({"edge_list": text, "representative_map": representative}))
     else:
-        sys.stdout.write(serialize_edge_list(rmap.reduced_graph))
+        sys.stdout.write(text)
         print(json.dumps(representative, sort_keys=True))
     return 0
 
@@ -203,12 +195,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     r = _read_tree(args.backbone, BACKBONE_EXPANSION)
     t, partition = expand_backbone(r)
     if args.json:
-        _emit_json(
-            {
-                "edge_list": serialize_edge_list(t),
-                "units": [list(u) for u in partition.units],
-            }
-        )
+        print(_json_text({"edge_list": serialize_edge_list(t), "units": partition.units}))
     else:
         sys.stdout.write(serialize_edge_list(t))
     return 0
@@ -222,13 +209,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     partition = result.partition
     bodies = unit_cut_decompose(result.reduced_tree, partition)
     if args.json:
-        _emit_json(
-            {
-                "units": [list(u) for u in partition.units],
-                "bodies": [serialize_edge_list(b) for b in bodies],
-                "backbone_edges": [list(e) for e in partition.backbone_edges],
-            }
-        )
+        payload = {
+            "units": partition.units,
+            "bodies": [serialize_edge_list(b) for b in bodies],
+            "backbone_edges": partition.backbone_edges,
+        }
+        print(_json_text(payload))
     else:
         for i, (leaf, s, w) in enumerate(partition.units):
             print(f"unit {i}: leaf={leaf} support={s} backbone={w}")
@@ -244,14 +230,14 @@ def _cmd_from_cnf(args: argparse.Namespace) -> int:
     payload: dict = {
         "vertices": gadget.graph.n,
         "edges": len(gadget.graph.edges),
-        "clause_vertices": list(gadget.clause_vertices),
+        "clause_vertices": gadget.clause_vertices,
         "apex": gadget.apex,
     }
     if args.decide:
         payload["satisfiable"] = sat_decide_via_graph(gadget)
     if args.json:
         payload["edge_list"] = serialize_edge_list(gadget.graph)
-        _emit_json(payload)
+        print(_json_text(payload))
     else:
         sys.stdout.write(serialize_edge_list(gadget.graph))
         if args.decide:
@@ -263,7 +249,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     sweep = lemma_suite if args.lemmas else cross_validate
     report = sweep(args.max_n)
     if args.json:
-        _emit_json(report.to_json_dict())
+        print(_json_text(report.to_json_dict()))
     else:
         width = max(5, len(str(max(report.trees_checked.values()))))
         print(f"order  {'trees':>{width}}  well-ve-dominated")

@@ -114,8 +114,9 @@ def parse_edge_list(text: str) -> Graph:
     Lines starting with '#' are comments.  An optional first directive line
     "n <count>" declares the vertex count; otherwise the count is one more
     than the largest index seen (0 if there are no edges).  Every other
-    non-blank line is "u v".  Errors report the 1-based line number.  A
-    count above MAX_VERTICES raises ValueError before the graph is built.
+    non-blank line is "u v".  An error names the first faulty line by its
+    1-based number.  A count above MAX_VERTICES raises ValueError before
+    the graph is built.
     """
     return Graph._build(*_parse_edge_list(text))
 
@@ -126,12 +127,11 @@ def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     against a size guard first.
 
     One pass: a declared count precedes every edge, so ranges and
-    duplicates are checked as the lines are read.  The first such error is
-    raised only at the end, so that a format error on a later line wins."""
+    duplicates are checked as the lines are read, and the first faulty
+    line's error is raised without reading further."""
     declared: int | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    error: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
@@ -161,15 +161,12 @@ def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
         e = (u, v) if u < v else (v, u)
-        if error is None:
-            if declared is not None and e[1] >= declared:
-                error = f"line {lineno}: vertex index {e[1]} exceeds declared count {declared}"
-            elif e in seen:
-                error = f"line {lineno}: duplicate edge ({e[0]}, {e[1]})"
+        if declared is not None and e[1] >= declared:
+            raise GraphFormatError(f"line {lineno}: vertex index {e[1]} exceeds declared count {declared}")
+        if e in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate edge ({e[0]}, {e[1]})")
         seen.add(e)
         edges.append(e)
-    if error is not None:
-        raise GraphFormatError(error)
     if declared is not None:
         return declared, edges
     return 1 + max((v for _, v in edges), default=-1), edges

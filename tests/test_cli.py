@@ -694,15 +694,15 @@ def _reduce_payload(g: Graph) -> dict:
 def _decompose_payload(g: Graph) -> dict:
     result = recognize(g)
     return {
-        "units": [list(u) for u in result.partition.units],
+        "units": result.partition.units,
         "bodies": [serialize_edge_list(b) for b in unit_cut_decompose(result.reduced_tree, result.partition)],
-        "backbone_edges": [list(e) for e in result.partition.backbone_edges],
+        "backbone_edges": result.partition.backbone_edges,
     }
 
 
 def _expand_payload(g: Graph) -> dict:
     t, partition = expand_backbone(g)
-    return {"edge_list": serialize_edge_list(t), "units": [list(u) for u in partition.units]}
+    return {"edge_list": serialize_edge_list(t), "units": partition.units}
 
 
 def _from_cnf_payload(text: str) -> dict:
@@ -710,7 +710,7 @@ def _from_cnf_payload(text: str) -> dict:
     return {
         "vertices": gadget.graph.n,
         "edges": len(gadget.graph.edges),
-        "clause_vertices": list(gadget.clause_vertices),
+        "clause_vertices": gadget.clause_vertices,
         "apex": gadget.apex,
         "edge_list": serialize_edge_list(gadget.graph),
     }
@@ -742,6 +742,25 @@ def test_json_output_is_json_dumps_of_the_library_payload(argv, text, payload, t
     f.write_text(text)
     assert main([argv[0], str(f), *argv[1:], "--json"]) == 0
     assert capsys.readouterr().out == _dumps(payload())
+
+
+def test_json_rows_are_laid_out_without_a_call_per_row(tmp_path, capsys, monkeypatch):
+    """decompose --json hands the writer its units and backbone edges as
+    tuples.  Each list of int rows is laid out in one step, so the writer
+    is called once for the payload and once per value in it."""
+    calls = []
+    write = cli._json_text
+
+    def counted(obj, indent=""):
+        calls.append(obj)
+        return write(obj, indent)
+
+    monkeypatch.setattr(cli, "_json_text", counted)
+    f = tmp_path / "tree"
+    f.write_text(_TWINS)
+    assert main(["decompose", str(f), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["units"]) == 30 and len(calls) == 1 + len(payload)
 
 
 def test_enumerate_json_is_json_dumps_of_the_report(capsys):

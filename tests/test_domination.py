@@ -25,6 +25,7 @@ from vedom.graph import Graph, bit_list, connected_components, induced_delete, m
 from vedom.harness import lemma_suite
 from vedom.recognizer import verify_certificate
 
+from tests import reference
 from tests.reference import adjacency_masks, is_minimal_by_removal, minimal_sets_by_exhaustion
 from tests.strategies import graphs, relabeled, star, trees
 
@@ -52,9 +53,13 @@ class TestDominatedEdges:
         with pytest.raises(ValueError):
             ve_dominated_edges(path_graph(2), 5)
 
+    def test_negative_vertex_is_out_of_range(self):
+        with pytest.raises(ValueError):  # not the last vertex's mask
+            ve_dominated_edges(path_graph(2), -1)
+
     @given(graphs())
     def test_matches_the_mask_table(self, g):
-        assert [ve_dominated_edges(g, v) for v in range(g.n)] == dominated_edge_masks(g)
+        assert [ve_dominated_edges(g, v) for v in range(g.n)] == reference.dominated_edge_masks(g)
 
 
 class TestIsVeDominating:

@@ -13,6 +13,7 @@ from vedom.domination import is_minimal_ve_dominating, oracle_report
 from vedom.freetrees import enumerate_free_trees, trees_isomorphic
 from vedom.graph import (
     Graph,
+    GraphFormatError,
     NotATreeError,
     bit_list,
     mask_from,
@@ -180,7 +181,8 @@ class TestCertificates:
 class TestNoQuadraticWork:
     """Deterministic guards on the linear-time paths: the certificate check
     must not test vertex pairs for adjacency or build per-vertex edge masks,
-    and the forbidden-path search must not search the tree once per leaf."""
+    the forbidden-path search must not search the tree once per leaf, and
+    the edge-list reader must not read past a faulty line."""
 
     def test_certificate_check_uses_no_pair_tests_or_edge_masks(self, monkeypatch):
         def forbidden(*args):
@@ -276,6 +278,22 @@ class TestNoQuadraticWork:
                 counts.setdefault(name, []).append(events)
         for name, (small, large) in counts.items():
             assert large <= 10.5 * small, (name, small, large)
+
+    def test_edge_list_reader_stops_at_the_first_fault(self):
+        """An out-of-range edge on line 2 ends the read there: the 10^4
+        valid lines after it make no line events (about 13 each if read)."""
+        k = 10**4
+        text = f"n {k + 1}\n0 {k + 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(k))
+
+        def read():
+            try:
+                vedom.graph._parse_edge_list(text)
+            except GraphFormatError as exc:
+                return str(exc)
+
+        message, events = _line_events(read, cap=100)
+        assert message == f"line 2: vertex index {k + 1} exceeds declared count {k + 1}"
+        assert events < 100
 
 
 def _line_events(call, cap: int):
