@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graph import Graph, _tree, has_tree_size, traverse
+from .graph import Graph, _tree, require_tree, traverse
 
 MAX_ENUMERATION_ORDER = 20
 
@@ -98,13 +98,12 @@ def level_sequence_to_graph(seq: Iterable[int]) -> Graph:
 
 
 def centroids(g: Graph) -> list[int]:
-    """The one or two vertices minimizing the largest component of g - v.
-    One walk checks that g is a tree (n - 1 edges, every vertex reached)
-    and, children before parents, gives each subtree's size."""
+    """The one or two vertices v of the tree g minimizing the largest
+    component of g - v.  One walk, children before parents, gives each
+    subtree's size."""
+    require_tree(g, "centroids")
     n = g.n
-    order, parent = traverse(g, 0) if has_tree_size(n, len(g.edges)) else ([], [])
-    if not 0 < len(order) == n:
-        raise ValueError("centroids are defined here for trees only")
+    order, parent = traverse(g, 0)
     size, heavy = [1] * n, [0] * n
     for v in reversed(order[1:]):
         u = parent[v]

@@ -250,12 +250,10 @@ def verify_certificate(t: Graph, certificate: int) -> CertificateCheck:
 
     A member ve-dominates edge ab when it lies in N[a] or N[b], so with
     near[v] the number of members in N[v] the count of ab is near[a] +
-    near[b] minus the members in N[a] & N[b].  That intersection is a, b and
-    their common neighbours; a common member other than a and b is possible
-    only when both ends see a member besides a and b, and only then is the
-    smaller adjacency list scanned.  Over the edges of a tree the smaller
-    lists add up to at most 2n, so on trees the check takes linear time.
+    near[b] minus the members in N[a] & N[b].  In a tree the ends of an edge
+    share no neighbour, so that intersection is {a, b}.
     """
+    require_tree(t, "certificate check")
     check_vertex_set(t, certificate)
     members = bit_list(certificate)
     adj = t.adj
@@ -268,20 +266,11 @@ def verify_certificate(t: Graph, certificate: int) -> CertificateCheck:
             near[u] += 1
     counts = []
     independent = True
-    edge_set: set[tuple[int, int]] | None = None
     for a, b in t.edges:
         ends = inside[a] + inside[b]
         if ends == 2:
             independent = False
-        count = near[a] + near[b] - ends
-        if near[a] > ends and near[b] > ends:
-            if edge_set is None:
-                edge_set = set(t.edges)
-            small, large = (a, b) if len(adj[a]) <= len(adj[b]) else (b, a)
-            count -= sum(
-                1 for c in adj[small] if inside[c] and (min(c, large), max(c, large)) in edge_set
-            )
-        counts.append(count)
+        counts.append(near[a] + near[b] - ends)
     deg = list(map(len, adj))  # good pendant edge: a leaf and its degree-2 support
     within = all(
         deg[v] == 1 and deg[adj[v][0]] == 2 or deg[v] == 2 and 1 in (deg[adj[v][0]], deg[adj[v][1]])

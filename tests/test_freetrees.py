@@ -15,7 +15,7 @@ from vedom.freetrees import (
     trees_isomorphic,
 )
 from vedom.constructions import path_graph
-from vedom.graph import _TREE, Graph, is_tree
+from vedom.graph import _TREE, Graph, NotATreeError, is_tree
 
 from tests import reference
 from tests.strategies import pruefer_to_tree, relabeled, star
@@ -155,10 +155,12 @@ class TestFreeTreeEnumeration:
 
 
 def test_centroids_refuse_a_graph_with_tree_size_that_is_no_tree():
-    """A triangle and an isolated vertex: n - 1 edges, one walk short."""
+    """A triangle and an isolated vertex: n - 1 edges, one walk short.  The
+    canonical form, read at the centroids, is refused the same way."""
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    with pytest.raises(ValueError, match="^centroids are defined here for trees only$"):
-        centroids(g)
+    for f in (centroids, canonical_form):
+        with pytest.raises(NotATreeError, match="^centroids requires a tree$"):
+            f(g)
 
 
 class TestIsomorphism:

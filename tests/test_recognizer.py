@@ -167,6 +167,14 @@ class TestCertificates:
         check = verify_certificate(path_graph(6), mask_from([2, 4]))
         assert not check.within_leaf_support
 
+    def test_verify_refuses_a_non_tree_before_reading_the_set(self):
+        """A triangle with a pendant vertex, with a set in range and one out
+        of it: the tree check comes first."""
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        for mask in (mask_from([3]), 1 << 4, -1):
+            with pytest.raises(NotATreeError, match="^certificate check requires a tree$"):
+                verify_certificate(g, mask)
+
     def test_both_colorings_always_pass(self):
         from vedom.constructions import expand_backbone
 
