@@ -295,10 +295,6 @@ def unit_cut_extend(
     for t, p, vertex, name in ((t1, p1, u, "u"), (t2, p2, v, "v")):
         if not (0 <= vertex < t.n) or p.label[vertex] != LABEL_BACKBONE:
             raise ValueError(f"endpoint {name}={vertex} is not a backbone vertex")
-        # a valid partition with two or more units is the order >= 6 case;
-        # the one-unit P_3 reduces to P_2, which is case T1
-        if len(p.units) < 2:
-            raise ValueError("both inputs must be recognized order >= 6 trees")
     offset = t1.n
     edges = list(t1.edges)
     edges += [(a + offset, b + offset) for a, b in t2.edges]

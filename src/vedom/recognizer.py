@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bit_list, check_vertex_set, is_tree, require_tree, traverse
+from .graph import Graph, bit_list, check_vertex_set, require_tree, traverse
 from .reduction import is_reduced, reduce_graph
 
 RECOGNITION = "recognition"  # the task a non-tree input error names
@@ -39,7 +39,10 @@ class UnitPartition:
 
     units are (leaf, support, backbone) triples ordered by leaf index;
     label[v] is one of "L", "S", "W"; backbone_edges are the edges of the
-    subtree induced by the W vertices, in canonical edge order.
+    subtree induced by the W vertices, in canonical edge order.  A tree of
+    order >= 6 has at most one: L is exactly its leaves, since a degree-1 W
+    vertex would cut its unit off as a 3-vertex component, and each leaf
+    fixes its unit.
     """
 
     units: tuple[tuple[int, int, int], ...]
@@ -200,26 +203,11 @@ def unit_partition(t: Graph) -> UnitPartition | Refutation:
 
 
 def validate_unit_partition(t: Graph, p: UnitPartition) -> None:
-    """Raise InvalidPartitionError unless p is a correct partition of t.  Units
-    that are pendant paths covering t leave a connected backbone."""
-    if not is_tree(t):
-        raise InvalidPartitionError("underlying graph is not a tree")
-    if len(p.label) != t.n or len(p.units) * 3 != t.n:
-        raise InvalidPartitionError("label or unit count does not match the order")
-    seen: set[int] = set()
-    for leaf, s, w in p.units:
-        if t.degree(leaf) != 1 or not t.has_edge(leaf, s):
-            raise InvalidPartitionError(f"({leaf}, {s}, {w}) lacks a pendant edge")
-        if t.degree(s) != 2 or not t.has_edge(s, w):
-            raise InvalidPartitionError(f"({leaf}, {s}, {w}) is not a unit body")
-        if p.label[leaf] != LABEL_LEAF or p.label[s] != LABEL_SUPPORT or p.label[w] != LABEL_BACKBONE:
-            raise InvalidPartitionError(f"labels disagree with unit ({leaf}, {s}, {w})")
-        seen.update((leaf, s, w))
-    if len(seen) != t.n:
-        raise InvalidPartitionError("units do not partition the vertex set")
-    expected = tuple((u, v) for u, v in t.edges if p.label[u] == p.label[v] == LABEL_BACKBONE)
-    if expected != p.backbone_edges:
-        raise InvalidPartitionError("backbone edges do not match the W set")
+    """Raise InvalidPartitionError unless p is unit_partition(t), the only
+    unit partition t can have (see UnitPartition).  Non-trees, unreduced
+    trees and orders below 6 are refused there, with its errors."""
+    if unit_partition(t) != p:
+        raise InvalidPartitionError("not the unit partition of the tree")
 
 
 def build_certificate(t: Graph, p: UnitPartition) -> int:

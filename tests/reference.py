@@ -20,7 +20,8 @@ components of a cut tree found as masks and deleted out, the two-pass
 edge-list parser, the two-pass DIMACS reader that checked each clause's
 arity itself, the reducedness test that grouped every
 neighbourhood class, the unit partition built on vertex sets with a
-traversal for backbone connectivity, the recognizer that built its result
+traversal for backbone connectivity, the partition validator that
+re-derived every field, the recognizer that built its result
 in three places from the library's own stages, and the lemma suite's
 qualifying cut edges and vertices, each spelling out the length-2 path
 rule.  The others are
@@ -747,6 +748,30 @@ def unit_partition(t: Graph) -> UnitPartition | Refutation:
         label[leaf] = LABEL_LEAF
         label[s] = LABEL_SUPPORT
     return UnitPartition(tuple(units), tuple(label), backbone_edges)
+
+
+def validate_unit_partition(t: Graph, p: UnitPartition) -> None:
+    """The library's earlier validator, which re-derived a partition field by
+    field: raise InvalidPartitionError unless p is a correct partition of t.
+    Units that are pendant paths covering t leave a connected backbone."""
+    if not is_tree(t):
+        raise InvalidPartitionError("underlying graph is not a tree")
+    if len(p.label) != t.n or len(p.units) * 3 != t.n:
+        raise InvalidPartitionError("label or unit count does not match the order")
+    seen: set[int] = set()
+    for leaf, s, w in p.units:
+        if t.degree(leaf) != 1 or not t.has_edge(leaf, s):
+            raise InvalidPartitionError(f"({leaf}, {s}, {w}) lacks a pendant edge")
+        if t.degree(s) != 2 or not t.has_edge(s, w):
+            raise InvalidPartitionError(f"({leaf}, {s}, {w}) is not a unit body")
+        if p.label[leaf] != LABEL_LEAF or p.label[s] != LABEL_SUPPORT or p.label[w] != LABEL_BACKBONE:
+            raise InvalidPartitionError(f"labels disagree with unit ({leaf}, {s}, {w})")
+        seen.update((leaf, s, w))
+    if len(seen) != t.n:
+        raise InvalidPartitionError("units do not partition the vertex set")
+    expected = tuple((u, v) for u, v in t.edges if p.label[u] == p.label[v] == LABEL_BACKBONE)
+    if expected != p.backbone_edges:
+        raise InvalidPartitionError("backbone edges do not match the W set")
 
 
 def recognize(t: Graph) -> recognizer.RecognitionResult:

@@ -360,12 +360,17 @@ class TestUnitCutExtend:
             unit_cut_extend(path_graph(6), p, 1, path_graph(6), p, 2)
 
     def test_rejects_single_unit_path(self):
+        """P_3 is not reduced: its two leaves are twins."""
         p3 = UnitPartition(units=((0, 1, 2),), label=("L", "S", "W"), backbone_edges=())
-        validate_unit_partition(path_graph(3), p3)
         p6 = unit_partition(path_graph(6))
-        with pytest.raises(ValueError, match="both inputs must be recognized order >= 6 trees"):
+        refusal = "^unit partition requires a reduced tree$"
+        with pytest.raises(ValueError, match=refusal):
+            validate_unit_partition(path_graph(3), p3)
+        with pytest.raises(ValueError, match=refusal):
+            unit_cut_decompose(path_graph(3), p3)
+        with pytest.raises(ValueError, match=refusal):
             unit_cut_extend(path_graph(3), p3, 2, path_graph(6), p6, 2)
-        with pytest.raises(ValueError, match="both inputs must be recognized order >= 6 trees"):
+        with pytest.raises(ValueError, match=refusal):
             unit_cut_extend(path_graph(6), p6, 2, path_graph(3), p3, 2)
 
     def test_roundtrip_with_decompose(self):

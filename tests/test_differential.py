@@ -19,13 +19,17 @@ unit partition or refutation,
 and the same reducedness verdict, as the earlier set-based code; the same
 recognition result, every field, as the earlier ``recognize`` that built
 its result in three places; and the same tree from every level sequence
-as the earlier builder with its own adjacency loop."""
+as the earlier builder with its own adjacency loop; and the same verdict
+as the earlier field-by-field partition validator on every leaf-ordered
+set of pendant units of every free tree of order 6 to 15 divisible by 3,
+and on mutations of seeded expansions' partitions."""
 
 import itertools
 import math
 import random
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,11 +51,14 @@ from vedom.freetrees import (
 from vedom.graph import Graph, GraphFormatError, _parse_edge_list, induced_delete, mask_from
 from vedom.harness import _components_without, _qualifying_cut_edges, _qualifying_cut_vertices
 from vedom.recognizer import (
+    InvalidPartitionError,
     Refutation,
+    UnitPartition,
     build_certificate,
     find_forbidden_configuration,
     recognize,
     unit_partition,
+    validate_unit_partition,
     verify_certificate,
 )
 from vedom.reduction import is_reduced, reduce_graph
@@ -673,3 +680,83 @@ def test_unit_partition_matches_reference_on_large_trees():
     kinds = [_kind(_assert_partition_matches_reference(t)) for t in trees]
     assert max(t.n for t in trees) >= 3000
     assert {"UnitPartition", "bad-leaf", "w-multiplicity"} <= set(kinds)
+
+
+def _candidate_units(t: Graph) -> list[tuple[int, int, int]]:
+    """Each leaf's pendant path (leaf, support, w) through a degree-2
+    support, in leaf order: the only units the earlier validator takes."""
+    out = []
+    for leaf, a in enumerate(t.adj):
+        if len(a) == 1 and len(t.adj[a[0]]) == 2:
+            s = a[0]
+            out.append((leaf, s, sum(t.adj[s]) - leaf))  # s's other neighbour
+    return out
+
+
+def _implied_partition(t: Graph, units) -> UnitPartition:
+    """units with the labels they give (later units overwrite earlier ones)
+    and the edges between the vertices left W."""
+    label = ["W"] * t.n
+    for leaf, s, _ in units:
+        label[leaf], label[s] = "L", "S"
+    backbone = tuple((u, v) for u, v in t.edges if label[u] == label[v] == "W")
+    return UnitPartition(tuple(units), tuple(label), backbone)
+
+
+def test_partition_validator_accepts_what_the_reference_accepts_on_free_trees():
+    """Every leaf-ordered set of n/3 candidate units, with the labels and
+    backbone edges it implies, on every free tree of order 6, 9, 12 and 15:
+    the validator accepts exactly the sets the earlier field-by-field one
+    accepts.  The earlier one takes no other leaf-ordered partition, since
+    its units cover every vertex and so fix every label and backbone edge.
+    It accepts the unit partitions of the expansions of the 1 + 1 + 2 + 3
+    free trees of orders 2 to 5, the reduced well-ve-dominated trees."""
+    sets = accepted = 0
+    for n in (6, 9, 12, 15):
+        for t in enumerate_free_trees(n):
+            for units in itertools.combinations(_candidate_units(t), n // 3):
+                p = _implied_partition(t, units)
+                verdict = _outcome(validate_unit_partition, t, p) is None
+                assert verdict == (_outcome(reference.validate_unit_partition, t, p) is None)
+                sets += 1
+                accepted += verdict
+    assert (accepted, sets) == (7, 293)
+
+
+def _mutations(rng: random.Random, t: Graph, p: UnitPartition) -> list[UnitPartition]:
+    """p with one label changed, one backbone edge dropped, one unit edge
+    added to the backbone edges, and one unit's leaf and support swapped."""
+    v = rng.randrange(t.n)
+    label = list(p.label)
+    label[v] = rng.choice([x for x in "LSW" if x != label[v]])
+    dropped = list(p.backbone_edges)
+    del dropped[rng.randrange(len(dropped))]
+    extra = rng.choice([e for e in t.edges if e not in p.backbone_edges])
+    units = list(p.units)
+    i = rng.randrange(len(units))
+    leaf, s, w = units[i]
+    units[i] = (s, leaf, w)
+    return [
+        UnitPartition(p.units, tuple(label), p.backbone_edges),
+        UnitPartition(p.units, p.label, tuple(dropped)),
+        UnitPartition(p.units, p.label, tuple(sorted(p.backbone_edges + (extra,)))),
+        UnitPartition(tuple(units), p.label, p.backbone_edges),
+    ]
+
+
+def test_partition_validators_reject_the_same_mutations_of_seeded_expansions():
+    """Shuffled backbone expansions of 6 to 900 vertices: both validators
+    take each partition as built and refuse each of its mutations."""
+    rng = random.Random(20251104)
+    for _ in range(40):
+        t, _ = expand_backbone(_random_tree(rng, 2, 300))
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        t = relabeled(t, perm)
+        p = unit_partition(t)
+        mutations = _mutations(rng, t, p)
+        for validate in (validate_unit_partition, reference.validate_unit_partition):
+            validate(t, p)
+            for bad in mutations:
+                with pytest.raises(InvalidPartitionError):
+                    validate(t, bad)
